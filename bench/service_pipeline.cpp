@@ -26,37 +26,38 @@
 //    2M-op chunks put every chunk in the consistent regime.
 //  * Sweep axes: lock mode x closed-loop clients x max batch per
 //    combining pass. The lock-mode axis is where the architecture's win
-//    and its cost separate (measured on the 1-core box):
-//      - BLOCKING + oversubscription is the pipeline's home turf: a
+//    and its cost separate. On the earlier 1-CORE container:
+//      - BLOCKING + oversubscription was the pipeline's home turf: a
 //        direct caller preempted while holding a bucket lock stalls
 //        every thread needing that bucket for the rest of its quantum
-//        (direct collapses 14.0 -> 3.9 Mops from 1 to 16 clients); the
+//        (direct collapsed 14.0 -> 3.9 Mops from 1 to 16 clients); the
 //        combiner lock keeps at most one thread in the store at a time,
 //        so bucket locks stay uncontended, waiters back off to sleeps
-//        instead of piling onto the runqueue, and the piped side holds
+//        instead of piling onto the runqueue, and the piped side held
 //        ~5-6.5 Mops — 1.48x direct at 16 clients, crossover at 8.
 //      - LOCK-FREE mode is the paper's own answer to preemption
 //        (helpers finish the victim's section): direct degrades only
-//        gently with clients, so the ring round trip is pure overhead
-//        and the piped side runs ~0.5-0.6x direct. Recorded honestly —
-//        the service tier earns its cost in blocking deployments, on
-//        real multicore contention, or when the async API is the point.
+//        gently with clients, so the pipeline is overhead there.
+//    On 4 cores (4-CPU Xeon VM, gcc 12.2 -O2, 2026-10-17) direct
+//    blocking no longer collapses (~8.5-10 Mops at 16 clients), and the
+//    piped side at 16 clients, batch 8, runs 3.8-5.0 Mops lock-free
+//    (0.35-0.42x direct) and 5.9-6.2 Mops blocking (0.7x direct), up
+//    from 1.5-1.7 Mops before per-thread service counters, one ring per
+//    shard, the inline combining fast path and the spin-then-sleep wait.
 //      - batch=1 is the degenerate no-combining configuration: the
-//        closed-loop path executes inline (service.hpp), so it must
-//        duel at parity in every mode.
+//        closed-loop path executes inline without the combiner lock
+//        (service.hpp), so it must duel at parity in every mode.
 //    The pipelined side runs ZERO dedicated servers (waiting clients
-//    flat-combine) — on this box a dedicated server per ring would just
-//    add a context switch per batch; combining is the shape that wins.
+//    flat-combine); combining is the shape that wins.
 //
 // Per point, alongside the Mops pair, the run reports the service's
 // own accounting: mean/max batch size actually formed, ring-full
-// rejections, and the log2 batch-size and push-time queue-depth
+// rejections, and the log2 batch-size and drain-time queue-depth
 // histograms (CSV rows `pr10_hist,<point>,<which>,<bucket>,<count>`;
 // batch=1 points run inline and have empty histograms by design). Mean
-// batch stays ~1 on this box — real multi-request batches need pushers
-// that are concurrent in TIME (multicore), while 1-core clients are
-// timesliced and mostly self-drain — so the combining win measured here
-// is the serialization, not the amortization.
+// batch stays ~1: a client that finds its ring's combiner free runs its
+// own op inline, and a closed-loop client holds one request at a time,
+// so the combining win is the serialization, not the amortization.
 //
 // Knobs: FLOCK_SVC_KEYS (16384), FLOCK_SVC_CHUNK (2000000 ops/side/round),
 // FLOCK_SVC_ROUNDS (3), FLOCK_SVC_RING (1024 slots/ring), FLOCK_SVC_POINTS
@@ -217,7 +218,6 @@ int main() {
         if (!point_selected(point)) continue;
         std::fprintf(stderr, "point %s\n", point.c_str());
         svc_t::options o;
-        o.rings = 1;  // one ring concentrates the combining on this box
         o.ring_capacity = ring_cap;
         o.max_batch = static_cast<std::size_t>(batch);
         svc_t svc(store, o);

@@ -1,9 +1,10 @@
 // stats.hpp — lightweight introspection counters for the helping
 // machinery. The counters live directly in the per-thread context
 // (thread_context.hpp), so the hot-path cost is one plain increment on a
-// structure that is already resident; this header provides the aggregate
-// view. Used by benchmarks to report helping rates and by tests to assert
-// helping actually happened.
+// structure that is already resident (the service tier's counters use
+// per-thread cells of their own, below); this header provides the
+// aggregate view. Used by benchmarks to report helping rates and by tests
+// to assert helping actually happened.
 #pragma once
 
 #include <atomic>
@@ -24,28 +25,24 @@ namespace detail {
 inline std::atomic<uint64_t> g_resize_deferrals{0};
 
 // Service-tier counters (src/service/service.hpp): batch execution and
-// ring backpressure. Process-wide like g_resize_deferrals — a service
-// instance is a front end over shared stores, and the monitoring story
-// ("how batched is the fleet's traffic") is a process question. All
-// monotonic except g_svc_batch_max / g_svc_depth_hw, which are
-// monotone high-water marks (never reset).
-inline std::atomic<uint64_t> g_svc_batches{0};    // drains that executed >0 ops
-inline std::atomic<uint64_t> g_svc_batch_ops{0};  // ops executed via batches
-inline std::atomic<uint64_t> g_svc_batch_max{0};  // largest single batch
-inline std::atomic<uint64_t> g_svc_ring_full{0};  // try_push rejections
-inline std::atomic<uint64_t> g_svc_depth_hw{0};   // queue-depth high-water
+// ring backpressure, one cell per dense thread id. Same single-writer
+// idiom as the runtime counters in thread_context — a cell is written
+// only by the thread holding its id, with plain adds — but kept in an
+// array of its own so the direct path's thread_context layout does not
+// change. Whole cache lines per cell: a combiner's bump never touches a
+// line another core writes. stats() sums the counts and takes the max of
+// the two high-water marks (never reset).
+struct alignas(kCacheLine) svc_cell {
+  uint64_t batches = 0;    // batches executed (queued drains + inline ops)
+  uint64_t batch_ops = 0;  // ops executed via batches
+  uint64_t batch_max = 0;  // largest single batch
+  uint64_t ring_full = 0;  // try_push rejections
+  uint64_t depth_hw = 0;   // drain-time queue-depth high-water
+};
+inline constinit svc_cell g_svc_cells[kMaxThreads]{};
 
-/// Monotone high-water update (racy-max: two racers both land, the larger
-/// wins eventually; monitoring only).
-inline void bump_max(std::atomic<uint64_t>& m, uint64_t v) {
-  // mo: relaxed — monitoring high-water; no ordering with the observed
-  // event is needed, only eventual monotone convergence.
-  uint64_t cur = m.load(std::memory_order_relaxed);
-  while (v > cur &&
-         // mo: relaxed — same monitoring contract as the load above.
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
+/// The calling thread's service-counter cell.
+inline svc_cell& my_svc_cell() noexcept { return g_svc_cells[my_ctx()->id]; }
 
 }  // namespace detail
 
@@ -65,11 +62,11 @@ struct stats_snapshot {
   uint64_t chaos_alloc_fails = 0;    // injected allocation failures
   // Service-tier counters (src/service/service.hpp; zero when no service
   // front end runs). mean batch size = svc_batch_ops / svc_batches.
-  uint64_t svc_batches = 0;          // batches executed (drains with >0 ops)
+  uint64_t svc_batches = 0;          // batches executed (queued + inline)
   uint64_t svc_batch_ops = 0;        // requests executed through batches
   uint64_t svc_batch_max = 0;        // largest single batch (high-water)
   uint64_t svc_ring_full = 0;        // try_push backpressure rejections
-  uint64_t svc_depth_hw = 0;         // push-time queue-depth high-water
+  uint64_t svc_depth_hw = 0;         // drain-time queue-depth high-water
 };
 
 /// Aggregate counters across all threads (monotonic since process start).
@@ -89,6 +86,12 @@ inline stats_snapshot stats() {
     s.descriptors_reused += c.stat_reused;
     s.helps_avoided += c.stat_helps_avoided;
     s.backoff_spins += c.stat_backoff_spins;
+    const detail::svc_cell& v = detail::g_svc_cells[i];
+    s.svc_batches += v.batches;
+    s.svc_batch_ops += v.batch_ops;
+    s.svc_ring_full += v.ring_full;
+    if (v.batch_max > s.svc_batch_max) s.svc_batch_max = v.batch_max;
+    if (v.depth_hw > s.svc_depth_hw) s.svc_depth_hw = v.depth_hw;
   }
   s.alloc_failures = alloc_failures();
   // mo: relaxed — monotonic monitoring counter, same approximate-snapshot
@@ -98,16 +101,6 @@ inline stats_snapshot stats() {
   s.chaos_stalls = flock_chaos::stalls_injected();
   s.chaos_kills = flock_chaos::kills_injected();
   s.chaos_alloc_fails = flock_chaos::alloc_fails_injected();
-  // mo: relaxed (all five) — monotonic monitoring counters, same
-  // approximate-snapshot contract as the per-thread cells above.
-  s.svc_batches = detail::g_svc_batches.load(std::memory_order_relaxed);
-  s.svc_batch_ops = detail::g_svc_batch_ops.load(std::memory_order_relaxed);
-  s.svc_batch_max =
-      detail::g_svc_batch_max.load(std::memory_order_relaxed);  // mo: ditto
-  s.svc_ring_full =
-      detail::g_svc_ring_full.load(std::memory_order_relaxed);  // mo: ditto
-  s.svc_depth_hw =
-      detail::g_svc_depth_hw.load(std::memory_order_relaxed);  // mo: ditto
   return s;
 }
 

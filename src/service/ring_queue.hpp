@@ -150,9 +150,9 @@ class ring_queue {
     return got;
   }
 
-  /// Racy occupancy estimate (push-time queue-depth sampling; the service
-  /// tier's depth high-water counter). May transiently over/under-count
-  /// by in-flight operations; monitoring only.
+  /// Racy occupancy estimate, read by the consumer when it drains (the
+  /// service tier's queue-depth sampling). May transiently over/under-
+  /// count by in-flight pushes; monitoring only.
   std::size_t approx_size() const {
     // mo: relaxed (both) — monitoring snapshot, no ordering needed.
     const uint64_t t = tail_.load(std::memory_order_relaxed);

@@ -2,8 +2,8 @@
 // store tier: MPSC request rings + flat-combining batch execution.
 //
 // Shape (the one a real serving system has): clients enqueue POD request
-// records (request.hpp) onto bounded per-ring MPSC queues
-// (ring_queue.hpp) and wait on client-owned completion slots; the
+// records (request.hpp) onto bounded MPSC queues (ring_queue.hpp), one
+// ring per store shard, and wait on client-owned completion slots; the
 // consumer side dequeues *batches* and executes the whole batch against
 // sharded_map under a single epoch entry. Two things make the batch
 // cheaper than the same ops issued directly:
@@ -12,34 +12,48 @@
 //    every inner epoch entry (each op's with_epoch, each find's
 //    read_guard) nests for free — the per-op seq_cst announce that
 //    dominates a warm op's fixed cost is paid once per batch.
-//  * Flat combining: rings are shard-affine (all keys of a shard land in
-//    one ring), and a per-ring combiner lock serializes consumers — so N
-//    clients hammering a hot shard become ONE thread executing their
+//  * Flat combining: a per-ring combiner lock serializes consumers, so
+//    N clients hammering a hot shard become ONE thread executing their
 //    combined batch without lock contention, helping traffic, or
-//    descriptor churn. Waiting clients do not burn their time slice
-//    polling: submit-and-wait tries to BECOME the combiner (drain the
-//    ring itself) whenever the lock is free, so the pipeline needs no
-//    dedicated server thread to make progress — dedicated servers
-//    (serve()) are an optional deployment shape, not a liveness
-//    requirement.
+//    descriptor churn. The pipeline needs no dedicated server thread:
+//    dedicated servers (serve()) are an optional deployment shape, not a
+//    liveness requirement.
 //
-// Where each of the two actually pays (measured, bench/
-// service_pipeline.cpp; recorded in BENCH_micro.json `pr10_service`):
-// with BLOCKING locks under oversubscription, direct callers collapse —
-// a client preempted while holding a bucket lock stalls every other
-// thread that wants that bucket for the rest of its quantum (14.0 ->
-// 3.9 Mops from 1 to 16 clients on the 1-core box) — while the combiner
-// lock keeps at most one thread executing store ops at a time, so
-// bucket locks stay uncontended and the sleeping waiters keep the
-// runqueue short; the piped side holds ~5-6.5 Mops for 1.48x direct at
-// 16 clients. With LOCK-FREE locks the
-// runtime already absorbs preemption by helping — the paper's own
-// mechanism — so the pipeline's ring round trip is pure overhead there
-// and the direct path wins; the service tier earns its cost in blocking
-// deployments, under real multicore contention, or when the async API
-// itself is the point. The epoch amortization is real but small on this
-// box (~4%): sticky read_guard announcements already amortized the
-// seq_cst entry for reads.
+// Closed-loop path (execute()). A client that finds its ring's combiner
+// word free (test, then exchange) becomes the combiner: it drains one
+// queued batch of at most max_batch first, so earlier submitters keep
+// FIFO precedence, then executes its own request in place under the same
+// lock and epoch entry — no ring round trip, accounted as a batch of 1.
+// (With nothing queued there is no batch entry to share, and the op runs
+// under its own entries: for a find, the cheaper sticky read_guard.)
+// A client that loses the race pushes its request and spins on its own
+// completion word with `pause` between checks, draining whenever a plain
+// load shows the combiner free. After kSpinPauses idle rounds (about
+// 10 us) it falls back to a yield/sleep ladder, which is what keeps an
+// oversubscribed box from rotating every waiter through the runqueue.
+//
+// Shared-line discipline. Nothing on the closed-loop path RMWs a
+// process-wide line: the service counters are per-thread single-writer
+// cells summed by flock::stats() (stats.hpp), the batch and depth
+// histograms live in each ring and are written under its combiner lock,
+// and queue depth is sampled by the combiner when it drains, not by each
+// pusher.
+//
+// Measured on 4 cores (4-CPU Xeon VM, 1 NUMA node, gcc 12.2 -O2,
+// 2026-10-17). perfbench `service_mixed` (3 closed-loop clients, 80/20
+// mix on 100K zipf keys, medians of ten 20 s runs) went from 1.83 to
+// 5.16 Mop/s (2.8x) with the pieces above, find p99 from 3.2 to 2.0 us
+// and update p99 from 110 to 2.5 us (the old waiters fell into 50 us
+// sleeps after two yields). Against direct store calls the piped path
+// still loses on 4 cores: bench/service_pipeline.cpp at 16 clients,
+// batch 8, pipes 3.8-5.0 Mops lock-free (0.35-0.42x direct) and 5.9-6.2
+// Mops blocking (0.7x). The 1.48x over direct recorded when the tier
+// landed was a 1-CORE result — blocking locks under oversubscription,
+// where a preempted bucket-lock holder stalls everyone and the
+// combiner's serialization wins — and does not reproduce on 4 cores.
+// With lock-free locks the runtime already absorbs preemption by
+// helping, the paper's own mechanism, so the service tier earns its cost
+// only when the async API itself is the point.
 //
 // Batch execution order: reads first, grouped (each through the
 // memoized-read cache and the optimistic find path), then writes.
@@ -103,20 +117,33 @@
 namespace flock_service {
 
 /// Log2-bucketed counter histogram for batch sizes and queue depths
-/// (bucket 0 counts zeros, bucket i counts [2^(i-1), 2^i)). Relaxed
-/// single-word adds; monitoring only, like the flock stat counters.
+/// (bucket 0 counts zeros, bucket i counts [2^(i-1), 2^i)). Each ring
+/// owns one pair, written only under its combiner lock; readers take an
+/// approximate monitoring snapshot, like the flock stat counters.
 struct histogram {
   static constexpr int kBuckets = 17;  // zeros + values up to 2^15, + tail
   std::atomic<uint64_t> buckets[kBuckets] = {};
+
+  histogram() = default;
+  histogram(const histogram& o) { merge(o); }
+  histogram& operator=(const histogram&) = delete;
 
   static int bucket_of(uint64_t v) {
     const int b = v == 0 ? 0 : std::bit_width(v);
     return b < kBuckets ? b : kBuckets - 1;
   }
+  /// Single writer at a time (the combiner lock holder), so a load plus
+  /// a store suffices: no locked RMW on the combiner's path.
   void add(uint64_t v) {
-    // mo: relaxed — monitoring counter; no ordering with the observed
-    // event is needed.
-    buckets[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+    std::atomic<uint64_t>& c = buckets[bucket_of(v)];
+    // mo: relaxed (both) — monitoring counter; the combiner lock's
+    // acquire/release orders successive writers, readers are approximate.
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+  void merge(const histogram& o) {
+    for (int b = 0; b < kBuckets; b++)
+      // mo: relaxed — merges into a reader-private snapshot.
+      buckets[b].store(count(b) + o.count(b), std::memory_order_relaxed);
   }
   uint64_t count(int b) const {
     // mo: relaxed — monitoring read, same contract as add.
@@ -132,30 +159,23 @@ class service {
   using completion_t = completion<V>;
 
   struct options {
-    std::size_t rings = 1;          // rounded to a power of two <= shards
     std::size_t ring_capacity = 1024;  // per ring, rounded to a power of two
     std::size_t max_batch = 64;        // drain bound per combining pass
   };
 
+  /// One ring per shard: a shard's keys never split across rings, and
+  /// combiners of different shards share neither a ring nor its lock.
   explicit service(store_t& primary, options o = {}) : primary_(primary) {
-    std::size_t r = 1;
-    while (r < o.rings) r <<= 1;
-    // Shard affinity: ring index is a suffix of the shard index, so one
-    // shard's keys never split across rings; more rings than shards would
-    // leave the excess permanently empty.
-    if (r > primary.shard_count()) r = primary.shard_count();
     max_batch_ = o.max_batch == 0 ? 1 : o.max_batch;
-    rings_.reserve(r);
-    for (std::size_t i = 0; i < r; i++)
+    rings_.reserve(primary.shard_count());
+    for (std::size_t i = 0; i < primary.shard_count(); i++)
       rings_.push_back(
           std::make_unique<ring_state>(o.ring_capacity, max_batch_));
   }
 
   store_t& store() { return primary_; }
   std::size_t ring_count() const { return rings_.size(); }
-  std::size_t ring_of(K k) const {
-    return primary_.shard_of(k) & (rings_.size() - 1);
-  }
+  std::size_t ring_of(K k) const { return primary_.shard_of(k); }
 
   /// Non-blocking async submit. The caller must have arm()ed
   /// `r.done` and keep both the completion and any referenced storage
@@ -203,24 +223,21 @@ class service {
     return c.ok;
   }
 
-  /// Submit-and-wait with combining: push (helping drain a full ring
-  /// through the backpressure), then alternate "am I done?" with "can I
-  /// be the combiner?" — a waiting client either makes global progress
-  /// or yields, never spins the ring hot.
+  /// Submit-and-wait with combining. Fast path: a client that finds its
+  /// ring's combiner free becomes the combiner — it drains one queued
+  /// batch first (earlier submitters keep FIFO precedence), then runs its
+  /// own request in place under the same lock and epoch entry, with no
+  /// ring round trip (a batch of 1 in the accounting). Otherwise it
+  /// queues and waits in execute_queued().
   ///
-  /// Degenerate configuration: max_batch == 1 turns combining off, and a
-  /// combining pass of one op has all of the pipeline's fixed cost (ring
-  /// round trip, combiner handoff, batch accounting) and none of its
-  /// benefit — so the closed-loop path executes inline instead, with the
-  /// same façade semantics and the same completion contract. "No
-  /// batching" then costs what a direct store call costs. Async submits
-  /// (try_submit + drain/serve) flow through the ring at any max_batch.
-  ///
-  /// The queued path lives in a separate noinline member: with the ring
-  /// loops (and transitively the whole combining pass) folded into
-  /// execute(), the inliner gave up on the entire chain and every
-  /// degenerate-mode op paid a spilled out-of-line call — measured ~0.65x
-  /// a direct store call where the same work hand-inlined costs ~1.0x.
+  /// Degenerate configuration: max_batch == 1 turns combining off and
+  /// the closed-loop path executes inline with no combiner lock at all,
+  /// with the same façade semantics and the same completion contract.
+  /// "No batching" then costs what a direct store call costs; routing it
+  /// through the combiner would serialize each shard's clients for no
+  /// batching benefit (0.34-0.55x direct at 2-16 clients on 4 cores).
+  /// Async submits (try_submit + drain/serve) flow through the ring at
+  /// any max_batch.
   void execute(request_t r) {
     r.done->arm();
     if (max_batch_ == 1) {
@@ -232,36 +249,51 @@ class service {
       }
       return;
     }
-    execute_queued(r);
+    const std::size_t ri = ring_of(r.key);
+    ring_state& rs = *rings_[ri];
+    if (try_lock(rs)) {
+      combine_locked(rs, &r);
+      unlock(rs);
+      return;
+    }
+    execute_queued(ri, r);
   }
 
+  /// The queued path lives in a separate noinline member so the ring
+  /// loops do not crowd the fast path out of the caller's inline budget.
+  ///
+  /// Waiting discipline: spin on the own completion word, pausing between
+  /// checks and draining whenever a plain load shows the combiner free
+  /// (drain's test-then-exchange), for kSpinPauses idle rounds; then
+  /// yield a couple of times, then back off to real sleeps. The spin
+  /// serves threads <= cores, where a combining pass ends within a few
+  /// microseconds. The sleeps serve oversubscription: yield-spinning
+  /// waiters stay runnable and force a context-switch rotation through
+  /// every waiter each time the combiner is preempted, while sleeping
+  /// waiters leave the runqueue, so the combiner gets whole quanta. A
+  /// waiter that wakes while the combiner is parked drains the ring
+  /// itself (progress never depends on the sleeper's timer).
 #if defined(__GNUC__)
   __attribute__((noinline))
 #endif
-  void execute_queued(request_t r) {
-    const std::size_t ri = ring_of(r.key);
+  void execute_queued(std::size_t ri, request_t r) {
     while (!try_submit_to(ri, r)) drain(ri);
-    // Waiting discipline: combine if possible, then yield a couple of
-    // times, then back off to real sleeps. On an oversubscribed core the
-    // sleeps are load-bearing: yield-spinning waiters stay runnable and
-    // force a context-switch rotation through every waiter each time the
-    // combiner is preempted, and that churn — not the ring round trip —
-    // is what caps pipelined throughput under oversubscription. Sleeping
-    // waiters leave the runqueue, so the combiner gets whole quanta, and
-    // a waiter that wakes while the combiner is parked drains the ring
-    // itself (progress never depends on the sleeper's timer).
     int idle = 0;
     while (!r.done->ready()) {
       if (drain(ri) != 0) {
         idle = 0;
         continue;
       }
-      if (r.done->ready()) break;
       ++idle;
-      if (idle <= 2) {
+      if (idle <= kSpinPauses) {
+        flock::detail::cpu_pause();
+        continue;
+      }
+      const int ladder = idle - kSpinPauses;
+      if (ladder <= 2) {
         std::this_thread::yield();
       } else {
-        const int shift = idle - 3 < 4 ? idle - 3 : 4;
+        const int shift = ladder - 3 < 4 ? ladder - 3 : 4;
         std::this_thread::sleep_for(std::chrono::microseconds(50L << shift));
       }
     }
@@ -273,27 +305,9 @@ class service {
   /// ring was empty or another combiner holds the lock).
   std::size_t drain(std::size_t ri) {
     ring_state& rs = *rings_[ri];
-    // mo: acquire — combiner lock: pairs with the release below, ordering
-    // the previous combiner's consumer-side ring state (head index,
-    // scratch batch) before this pass reuses them.
-    if (rs.combiner.exchange(1, std::memory_order_acquire) != 0) return 0;
-    const std::size_t n = rs.q.pop_up_to(rs.batch.get(), max_batch_);
-    if (n != 0) {
-      // Window: batch popped and owned by this combiner, nothing
-      // executed. A kill here parks the combiner holding both the lock
-      // and the in-flight requests; release resumes and completes them.
-      FLOCK_FAULTPOINT("svc.drain.post_pop");
-      execute_batch(rs.batch.get(), n);
-      namespace fd = flock::detail;
-      // mo: relaxed (both) — monotonic monitoring counters.
-      fd::g_svc_batches.fetch_add(1, std::memory_order_relaxed);
-      fd::g_svc_batch_ops.fetch_add(n, std::memory_order_relaxed);
-      fd::bump_max(fd::g_svc_batch_max, n);
-      batch_hist_.add(n);
-    }
-    // mo: release — hands the consumer-side state to the next combiner's
-    // acquire exchange.
-    rs.combiner.store(0, std::memory_order_release);
+    if (!try_lock(rs)) return 0;
+    const std::size_t n = combine_locked(rs, nullptr);
+    unlock(rs);
     return n;
   }
 
@@ -354,52 +368,134 @@ class service {
     return rebalance_dst_.load(std::memory_order_acquire);
   }
 
-  const histogram& batch_histogram() const { return batch_hist_; }
-  const histogram& depth_histogram() const { return depth_hist_; }
+  /// Per-service histograms, summed across rings: the size of every
+  /// batch (queued or inline), and the queue depth each combining pass
+  /// saw on taking the lock (0: the pass ran only its own inline op).
+  histogram batch_histogram() const { return sum(&ring_state::batch_hist, 1); }
+  histogram depth_histogram() const { return sum(&ring_state::depth_hist, 0); }
 
  private:
+  /// Pause budget of a waiter that lost the combiner race, before it
+  /// falls back to the yield/sleep ladder: about 10 us on current x86,
+  /// several combining passes on a 4-core box.
+  static constexpr int kSpinPauses = 256;
+
   struct alignas(64) ring_state {
     ring_queue<request_t> q;
-    std::atomic<uint32_t> combiner{0};  // 0 = free; serializes consumers
-    // Drain scratch, guarded by the combiner lock (handed combiner to
-    // combiner through its acquire/release pair).
+    // 0 = free; serializes consumers.
+    alignas(64) std::atomic<uint32_t> combiner{0};
+    // Guarded by the combiner lock (handed combiner to combiner through
+    // its acquire/release pair). `lone` counts passes that ran only their
+    // caller's own op on an empty ring — a batch of 1 at depth 0, folded
+    // into the histograms by their accessors. It shares the lock's line,
+    // so the common inline pass writes no line the lock did not bring.
+    std::atomic<uint64_t> lone{0};
     std::unique_ptr<request_t[]> batch;
+    histogram batch_hist;
+    histogram depth_hist;
     ring_state(std::size_t cap, std::size_t max_batch)
         : q(cap), batch(new request_t[max_batch]) {}
   };
 
+  static bool try_lock(ring_state& rs) {
+    // mo: relaxed — test before exchange: a held lock is seen without
+    // pulling its line exclusive; the exchange below is what acquires.
+    return rs.combiner.load(std::memory_order_relaxed) == 0 &&
+           // mo: acquire — combiner lock: pairs with unlock's release,
+           // ordering the previous combiner's consumer-side ring state
+           // (head index, scratch batch, histograms) before this pass.
+           rs.combiner.exchange(1, std::memory_order_acquire) == 0;
+  }
+
+  static void unlock(ring_state& rs) {
+    // mo: release — hands the consumer-side state to the next combiner's
+    // acquire exchange.
+    rs.combiner.store(0, std::memory_order_release);
+  }
+
+  /// One combining pass; the caller holds `rs`'s combiner lock. Pops one
+  /// queued batch of at most max_batch, then runs `own` (a request that
+  /// never entered the ring, or null) after it, all under ONE epoch
+  /// entry. A lone `own` skips the outer entry: there is nothing to
+  /// amortize, and its own entries are cheaper (a find keeps the sticky
+  /// read_guard announcement that a top-level with_epoch would re-pay).
+  /// Returns the number of queued requests executed.
+  std::size_t combine_locked(ring_state& rs, request_t* own) {
+    const std::size_t depth = rs.q.approx_size();
+    const std::size_t n =
+        depth == 0 ? 0 : rs.q.pop_up_to(rs.batch.get(), max_batch_);
+    if (n == 0 && own == nullptr) return 0;
+    if (n == 0) {
+      execute_batch(own, 1);
+    } else {
+      // Window: batch popped and owned by this combiner, nothing
+      // executed. A kill here parks the combiner holding both the lock
+      // and the in-flight requests; release resumes and completes them.
+      FLOCK_FAULTPOINT("svc.drain.post_pop");
+      flock::with_epoch([&] {
+        execute_batch(rs.batch.get(), n);
+        if (own != nullptr) execute_batch(own, 1);
+        return true;
+      });
+    }
+    flock::detail::svc_cell& c = flock::detail::my_svc_cell();
+    c.batches += (n != 0) + (own != nullptr);
+    c.batch_ops += n + (own != nullptr);
+    const std::size_t largest = n != 0 ? n : 1;  // n == 0: own alone
+    if (largest > c.batch_max) c.batch_max = largest;
+    if (depth > c.depth_hw) c.depth_hw = depth;
+    if (n == 0 && depth == 0) {
+      // mo: relaxed (both) — monitoring counter, same contract as
+      // histogram::add.
+      rs.lone.store(rs.lone.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+      return 0;
+    }
+    if (n != 0) rs.batch_hist.add(n);
+    if (own != nullptr) rs.batch_hist.add(1);
+    rs.depth_hist.add(depth);
+    return n;
+  }
+
   bool try_submit_to(std::size_t ri, const request_t& r) {
-    ring_state& rs = *rings_[ri];
-    if (!rs.q.try_push(r)) {
-      // mo: relaxed — monotonic monitoring counter.
-      flock::detail::g_svc_ring_full.fetch_add(1, std::memory_order_relaxed);
+    if (!rings_[ri]->q.try_push(r)) {
+      ++flock::detail::my_svc_cell().ring_full;
       return false;
     }
-    const uint64_t depth = rs.q.approx_size();
-    flock::detail::bump_max(flock::detail::g_svc_depth_hw, depth);
-    depth_hist_.add(depth);
     // Window: request visible to combiners, submitter not yet waiting.
     FLOCK_FAULTPOINT("svc.enqueue.post_push");
     return true;
   }
 
-  /// Execute one popped batch under ONE epoch entry: reads first, grouped
-  /// (through the memo cache / optimistic path), then writes. Inner epoch
-  /// entries (each op's with_epoch, each find's read_guard) nest for
-  /// free under the outer region.
+  /// Sum one histogram across rings, adding each ring's lone passes to
+  /// bucket `lone_bucket`.
+  histogram sum(histogram ring_state::*which, int lone_bucket) const {
+    histogram h;
+    uint64_t lone = 0;
+    for (const auto& rs : rings_) {
+      h.merge((*rs).*which);
+      // mo: relaxed — monitoring read, same contract as histogram::count.
+      lone += rs->lone.load(std::memory_order_relaxed);
+    }
+    h.buckets[lone_bucket].store(h.count(lone_bucket) + lone,
+                                 std::memory_order_relaxed);  // mo: ditto
+    return h;
+  }
+
+  /// Execute one batch, inside the caller's epoch entry: reads first,
+  /// grouped (through the memo cache / optimistic path), then writes.
+  /// Inner epoch entries (each op's with_epoch, each find's read_guard)
+  /// nest for free under the outer region.
   void execute_batch(request_t* b, std::size_t n) {
-    flock::with_epoch([&] {
-      for (std::size_t i = 0; i < n; i++) {
-        if (b[i].kind != op_kind::find) continue;
-        std::optional<V> r = facade_find(b[i].key);
-        publish(b[i], r.has_value(), r.has_value() ? *r : V{});
-      }
-      for (std::size_t i = 0; i < n; i++) {
-        if (b[i].kind == op_kind::find) continue;
-        publish(b[i], execute_write(b[i]), V{});
-      }
-      return true;
-    });
+    for (std::size_t i = 0; i < n; i++) {
+      if (b[i].kind != op_kind::find) continue;
+      std::optional<V> r = facade_find(b[i].key);
+      publish(b[i], r.has_value(), r.has_value() ? *r : V{});
+    }
+    for (std::size_t i = 0; i < n; i++) {
+      if (b[i].kind == op_kind::find) continue;
+      publish(b[i], execute_write(b[i]), V{});
+    }
   }
 
   static void publish(request_t& r, bool ok, V v) {
@@ -450,8 +546,6 @@ class service {
   std::atomic<store_t*> rebalance_dst_{nullptr};
   std::vector<std::unique_ptr<ring_state>> rings_;
   std::size_t max_batch_ = 64;
-  histogram batch_hist_;
-  histogram depth_hist_;
 };
 
 }  // namespace flock_service

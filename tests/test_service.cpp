@@ -25,6 +25,7 @@
 #include "flock/flock.hpp"
 #include "service/service.hpp"
 #include "store/sharded_map.hpp"
+#include "workload/zipf.hpp"
 
 namespace {
 
@@ -39,6 +40,12 @@ using req_t = svc_t::request_t;
 template <class F>
 void spin_until(F&& pred) {
   while (!pred()) std::this_thread::yield();
+}
+
+// The first key >= `from` that routes to ring `ri` (rings are per shard).
+uint64_t key_in_ring(const svc_t& svc, std::size_t ri, uint64_t from) {
+  while (svc.ring_of(from) != ri) from++;
+  return from;
 }
 
 // --- ring_queue -------------------------------------------------------------
@@ -235,18 +242,37 @@ TEST_P(ServiceTest, CountersAndHistogramsAccountSingleThreaded) {
   svc_t svc(m);
   for (uint64_t k = 0; k < 10; k++) EXPECT_TRUE(svc.insert(k, k));
   for (uint64_t k = 0; k < 10; k++) EXPECT_TRUE(svc.find(k).has_value());
-  const flock::stats_snapshot after = flock::stats();
-  // Single-threaded closed loop: every op is its own push + drain of a
-  // one-element batch, so the accounting is exact, not approximate.
-  EXPECT_EQ(after.svc_batch_ops - before.svc_batch_ops, 20u);
-  EXPECT_EQ(after.svc_batches - before.svc_batches, 20u);
-  EXPECT_GE(after.svc_batch_max, 1u);
-  EXPECT_GE(after.svc_depth_hw, 1u);
-  EXPECT_EQ(after.svc_ring_full, before.svc_ring_full);
-  // Per-service histograms: 20 one-element batches, 20 depth-1 samples
-  // (bucket 1 holds the value 1).
+  const flock::stats_snapshot mid = flock::stats();
+  // Single-threaded closed loop: every op finds its combiner free and
+  // runs inline as its own batch of 1, so the accounting is exact.
+  EXPECT_EQ(mid.svc_batch_ops - before.svc_batch_ops, 20u);
+  EXPECT_EQ(mid.svc_batches - before.svc_batches, 20u);
+  EXPECT_GE(mid.svc_batch_max, 1u);
+  EXPECT_EQ(mid.svc_ring_full, before.svc_ring_full);
+  // Per-service histograms: 20 one-element batches (bucket 1 holds the
+  // value 1), and depth is sampled by the combiner at drain time — every
+  // inline pass found its ring empty (bucket 0).
   EXPECT_EQ(svc.batch_histogram().count(1), 20u);
-  EXPECT_EQ(svc.depth_histogram().count(1), 20u);
+  EXPECT_EQ(svc.depth_histogram().count(0), 20u);
+  // Queued path: two async submits to one ring, then one drain. The pass
+  // sees depth 2 and runs a batch of 2 (bucket 2 holds [2, 4)).
+  const std::size_t ri = svc.ring_of(100);
+  completion<uint64_t> c1, c2;
+  c1.arm();
+  c2.arm();
+  ASSERT_TRUE(svc.try_submit({op_kind::insert, 100, 1, &c1}));
+  const uint64_t k2 = key_in_ring(svc, ri, 101);
+  ASSERT_TRUE(svc.try_submit({op_kind::insert, k2, 2, &c2}));
+  EXPECT_EQ(svc.drain(ri), 2u);
+  EXPECT_TRUE(c1.ready() && c2.ready());
+  const flock::stats_snapshot after = flock::stats();
+  EXPECT_EQ(after.svc_batches - mid.svc_batches, 1u);
+  EXPECT_EQ(after.svc_batch_ops - mid.svc_batch_ops, 2u);
+  EXPECT_GE(after.svc_batch_max, 2u);
+  EXPECT_GE(after.svc_depth_hw, 2u);
+  EXPECT_EQ(svc.batch_histogram().count(2), 1u);
+  EXPECT_EQ(svc.depth_histogram().count(2), 1u);
+  EXPECT_EQ(svc.depth_histogram().count(0), 20u);
 }
 
 TEST_P(ServiceTest, DegenerateBatchOneRunsInline) {
@@ -291,32 +317,128 @@ TEST_P(ServiceTest, RingFullIsRetryableBackpressure) {
   const flock::stats_snapshot before = flock::stats();
   map_t m(2);
   svc_t::options o;
-  o.rings = 1;
   o.ring_capacity = 2;
   svc_t svc(m, o);
+  // Three keys of one shard, so all three requests target one ring.
+  const std::size_t ri = svc.ring_of(1);
+  const uint64_t k2 = key_in_ring(svc, ri, 2);
+  const uint64_t k3 = key_in_ring(svc, ri, k2 + 1);
   completion<uint64_t> c1, c2, c3;
   c1.arm();
   c2.arm();
   c3.arm();
   req_t r1{op_kind::insert, 1, 10, &c1};
-  req_t r2{op_kind::insert, 2, 20, &c2};
-  req_t r3{op_kind::insert, 3, 30, &c3};
+  req_t r2{op_kind::insert, k2, 20, &c2};
+  req_t r3{op_kind::insert, k3, 30, &c3};
   EXPECT_TRUE(svc.try_submit(r1));
   EXPECT_TRUE(svc.try_submit(r2));
   EXPECT_FALSE(svc.try_submit(r3));  // full: rejected, counted, retryable
   const flock::stats_snapshot mid = flock::stats();
   EXPECT_GE(mid.svc_ring_full - before.svc_ring_full, 1u);
-  EXPECT_EQ(svc.drain(0), 2u);  // both queued requests execute
+  EXPECT_EQ(svc.drain(ri), 2u);  // both queued requests execute
   EXPECT_TRUE(c1.ready());
   EXPECT_TRUE(c2.ready());
   EXPECT_FALSE(c3.ready());        // the rejected one was never enqueued
   EXPECT_TRUE(svc.try_submit(r3));  // the retry fits now
-  EXPECT_EQ(svc.drain(0), 1u);
+  EXPECT_EQ(svc.drain(ri), 1u);
   EXPECT_TRUE(c3.ready());
   EXPECT_TRUE(c3.ok);
   EXPECT_EQ(m.approx_size(), 3u);
   // The drained pair crossed max-batch accounting too.
   EXPECT_GE(flock::stats().svc_batch_max, 2u);
+}
+
+// Four closed-loop clients on ONE service, real threads: every request
+// must execute exactly once whichever path it took (inline or queued),
+// and the accounting must add up exactly. Publications are counted at
+// the svc.exec.pre_complete faultpoint, armed with a fault that never
+// fires (victim-only, no victim), so its hit count is the number of
+// publish() calls. Every op owns a fresh completion slot: 4N publishes
+// over 4N slots, all of them ready, means exactly one publish per slot.
+TEST_P(ServiceTest, FourClientsAccountEveryOpExactlyOnce) {
+  constexpr int kClients = 4;
+  constexpr int kOps = 4000;
+  constexpr uint64_t kKeys = 256;
+  auto value_of = [](uint64_t k) { return k * 7 + 1; };
+  map_t m(2);  // few shards: clients collide on rings
+  svc_t svc(m);
+  uint64_t prefill = 0;
+  for (uint64_t k = 0; k < kKeys; k += 2) prefill += m.insert(k, value_of(k));
+  uint64_t inserted = 0, removed = 0;
+  bool queued_seen = false, inline_seen = false;
+  // Repeat rounds (bounded) until both paths were observed; each round
+  // checks the full accounting on its own.
+  for (int round = 0; round < 20 && !(queued_seen && inline_seen); round++) {
+    chaos::reset();
+    chaos::arm_options never;
+    never.victim_only = true;
+    ASSERT_TRUE(
+        chaos::arm("svc.exec.pre_complete", chaos::fault::stall, never));
+    ASSERT_TRUE(chaos::arm("svc.drain.post_pop", chaos::fault::stall, never));
+    const flock::stats_snapshot before = flock::stats();
+    const flock_service::histogram batch0 = svc.batch_histogram();
+    const flock_service::histogram depth0 = svc.depth_histogram();
+    std::vector<std::vector<completion<uint64_t>>> slots(kClients);
+    std::atomic<uint64_t> ins{0}, rem{0}, bad{0};
+    std::atomic<int> ready{0};
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kClients; t++) {
+      slots[t] = std::vector<completion<uint64_t>>(kOps);
+      ts.emplace_back([&, t] {
+        flock_workload::rng64 rng(0x9e37 + 131 * round + t);
+        uint64_t my_ins = 0, my_rem = 0, my_bad = 0;
+        ready.fetch_add(1);
+        spin_until([&] { return ready.load() == kClients; });
+        for (int i = 0; i < kOps; i++) {
+          const uint64_t k = rng.next() % kKeys;
+          const uint64_t o = rng.next() % 10;
+          completion<uint64_t>& c = slots[t][i];
+          if (o < 4) {
+            svc.execute({op_kind::find, k, 0, &c});
+            if (c.ok && c.value != value_of(k)) my_bad++;
+          } else if (o < 7) {
+            svc.execute({op_kind::insert, k, value_of(k), &c});
+            my_ins += c.ok;
+          } else {
+            svc.execute({op_kind::remove, k, 0, &c});
+            my_rem += c.ok;
+          }
+          if (!c.ready()) my_bad++;
+        }
+        ins.fetch_add(my_ins);
+        rem.fetch_add(my_rem);
+        bad.fetch_add(my_bad);
+      });
+    }
+    for (auto& th : ts) th.join();
+    const flock::stats_snapshot after = flock::stats();
+    constexpr uint64_t kTotal = uint64_t{kClients} * kOps;
+    EXPECT_EQ(after.svc_batch_ops - before.svc_batch_ops, kTotal);
+    EXPECT_EQ(chaos::hits("svc.exec.pre_complete"), kTotal);
+    EXPECT_EQ(bad.load(), 0u);
+    for (const auto& v : slots)
+      for (const auto& c : v) ASSERT_TRUE(c.ready());
+    inserted += ins.load();
+    removed += rem.load();
+    EXPECT_EQ(m.size(), prefill + inserted - removed);
+    // Queued path: some pass popped a batch and either saw a queue behind
+    // it or popped more than one request. Inline path: some pass found
+    // its ring empty, so it ran only its caller's own request.
+    const flock_service::histogram batch1 = svc.batch_histogram();
+    const flock_service::histogram depth1 = svc.depth_histogram();
+    uint64_t deep = 0, multi = 0;
+    for (int b = 1; b < flock_service::histogram::kBuckets; b++)
+      deep += depth1.count(b) - depth0.count(b);
+    for (int b = 2; b < flock_service::histogram::kBuckets; b++)
+      multi += batch1.count(b) - batch0.count(b);
+    if (chaos::hits("svc.drain.post_pop") > 0 && (deep > 0 || multi > 0))
+      queued_seen = true;
+    if (depth1.count(0) > depth0.count(0)) inline_seen = true;
+  }
+  chaos::reset();
+  EXPECT_TRUE(queued_seen);
+  EXPECT_TRUE(inline_seen);
+  EXPECT_TRUE(m.check_invariants());
 }
 
 TEST_P(ServiceTest, DoubleReadFacadeHidesLiveRebalanceWindow) {
@@ -481,6 +603,7 @@ TEST_P(ServiceChaos, ServerKilledBeforeCompleteHasDoneTheWork) {
   // The store mutation is already durable; only the publication is stuck.
   EXPECT_FALSE(c.ready());
   EXPECT_EQ(m.find(7), std::optional<uint64_t>(70));
+  EXPECT_GE(chaos::hits("svc.exec.pre_complete"), 1u);
 
   chaos::release_killed();
   c.wait();
@@ -515,16 +638,58 @@ TEST_P(ServiceChaos, ClientKilledAfterPushGetsServedAnyway) {
   });
   spin_until([] { return chaos::parked() == 1; });
   EXPECT_FALSE(c.ready());
+  EXPECT_GE(chaos::hits("svc.enqueue.post_push"), 1u);
 
   // Another participant (here: the main thread combining) drains the
   // ring and completes the dead client's request.
-  EXPECT_EQ(svc.drain(0), 1u);
+  EXPECT_EQ(svc.drain(svc.ring_of(13)), 1u);
   EXPECT_TRUE(c.ready());
   EXPECT_TRUE(c.ok);
   EXPECT_EQ(m.find(13), std::optional<uint64_t>(130));
 
   chaos::release_killed();
   client.join();
+  EXPECT_TRUE(m.check_invariants());
+}
+
+// The inline fast path crosses the same completion window: a client
+// that became the combiner and ran its own op in place is killed before
+// publishing. It still holds its ring's combiner lock, so a request
+// queued behind it waits (drain cannot take the lock) rather than being
+// lost; on release the victim publishes its own result once, and the
+// next drain serves the queued request.
+TEST_P(ServiceChaos, InlineCombinerKilledBeforeCompletePublishesOnce) {
+  map_t m(2);
+  svc_t svc(m);
+  chaos::arm_options o;
+  o.victim_only = true;
+  ASSERT_TRUE(chaos::arm("svc.exec.pre_complete", chaos::fault::kill, o));
+
+  std::atomic<int> inserted{-1};
+  std::thread client([&svc, &inserted] {
+    chaos::victim_scope vs;
+    inserted.store(svc.insert(5, 50) ? 1 : 0);
+  });
+  spin_until([] { return chaos::parked() == 1; });
+  EXPECT_GE(chaos::hits("svc.exec.pre_complete"), 1u);
+  EXPECT_EQ(m.find(5), std::optional<uint64_t>(50));  // work done
+  EXPECT_EQ(inserted.load(), -1);                      // result unpublished
+
+  const std::size_t ri = svc.ring_of(5);
+  completion<uint64_t> c;
+  c.arm();
+  ASSERT_TRUE(svc.try_submit({op_kind::find, 5, 0, &c}));
+  EXPECT_EQ(svc.drain(ri), 0u);  // the parked combiner still holds the lock
+  EXPECT_FALSE(c.ready());
+
+  chaos::release_killed();
+  client.join();
+  EXPECT_EQ(inserted.load(), 1);  // published once, as "inserted"
+  EXPECT_EQ(svc.drain(ri), 1u);
+  EXPECT_TRUE(c.ready());
+  EXPECT_TRUE(c.ok);
+  EXPECT_EQ(c.value, 50u);
+  EXPECT_FALSE(svc.insert(5, 999));  // applied exactly once
   EXPECT_TRUE(m.check_invariants());
 }
 
