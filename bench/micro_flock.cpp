@@ -180,11 +180,13 @@ void BM_pool_new_delete(benchmark::State& state) {
 }
 BENCHMARK(BM_pool_new_delete);
 
-// --- JSON throughput series (BENCH_micro.json) -----------------------------
+// --- JSON throughput series (BENCH_micro_run.json) -------------------------
 //
 // Timed loops independent of the google-benchmark harness so the numbers
 // are directly comparable across PRs: single-thread uncontended try_lock
-// cycles in Mops for both modes, plus raw/logged mutable ops.
+// cycles in Mops for both modes, plus raw/logged mutable ops. The run
+// goes to an untracked file; the tracked BENCH_micro.json is curated by
+// hand from such runs, so a plain run must never overwrite it.
 
 template <class Op>
 double mops_of(Op&& op, long iters) {
@@ -539,7 +541,7 @@ void emit_json_series() {
             store.check_invariants() && sink > 0 ? 1.0 : 0.0);
     flock::epoch_manager::instance().flush();
   }
-  rep.write();
+  rep.write("BENCH_micro_run.json");
 }
 
 // --- log entries per operation (paper §8: "about 5") -----------------------

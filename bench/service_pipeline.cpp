@@ -1,7 +1,14 @@
-// service_pipeline — the PR 10 A/B duel: closed-loop clients calling the
-// store directly vs the same clients driving it through the batched
-// serving front end (src/service/: MPSC rings + flat-combining batch
+// service_pipeline — the A/B duel: closed-loop clients calling the
+// store directly vs the same clients driving it through the service's
+// async path (src/service/: MPSC rings + flat-combining batch
 // execution), on ONE shared warmed store per lock mode.
+//
+// Closed-loop service calls (find/insert/remove/execute) run on the
+// caller's thread and cost a direct store call plus one façade load, so
+// they would only duel against themselves. The piped side instead goes
+// through a small async adapter: try_submit, then drain the key's ring
+// until the completion is ready, yielding after an idle pass. The duel
+// therefore still measures what the rings and combining cost.
 //
 // Methodology follows the pr9 read-path duel (bench/micro_flock.cpp):
 //
@@ -24,40 +31,23 @@
 //    of <= 12.5K ops never collapse (~13 Mops), 25K-125K collapse in
 //    some repetitions only, 250K+ collapse consistently (~6.5 Mops).
 //    2M-op chunks put every chunk in the consistent regime.
-//  * Sweep axes: lock mode x closed-loop clients x max batch per
-//    combining pass. The lock-mode axis is where the architecture's win
-//    and its cost separate. On the earlier 1-CORE container:
-//      - BLOCKING + oversubscription was the pipeline's home turf: a
-//        direct caller preempted while holding a bucket lock stalls
-//        every thread needing that bucket for the rest of its quantum
-//        (direct collapsed 14.0 -> 3.9 Mops from 1 to 16 clients); the
-//        combiner lock keeps at most one thread in the store at a time,
-//        so bucket locks stay uncontended, waiters back off to sleeps
-//        instead of piling onto the runqueue, and the piped side held
-//        ~5-6.5 Mops — 1.48x direct at 16 clients, crossover at 8.
-//      - LOCK-FREE mode is the paper's own answer to preemption
-//        (helpers finish the victim's section): direct degrades only
-//        gently with clients, so the pipeline is overhead there.
-//    On 4 cores (4-CPU Xeon VM, gcc 12.2 -O2, 2026-10-17) direct
-//    blocking no longer collapses (~8.5-10 Mops at 16 clients), and the
-//    piped side at 16 clients, batch 8, runs 3.8-5.0 Mops lock-free
-//    (0.35-0.42x direct) and 5.9-6.2 Mops blocking (0.7x direct), up
-//    from 1.5-1.7 Mops before per-thread service counters, one ring per
-//    shard, the inline combining fast path and the spin-then-sleep wait.
-//      - batch=1 is the degenerate no-combining configuration: the
-//        closed-loop path executes inline without the combiner lock
-//        (service.hpp), so it must duel at parity in every mode.
-//    The pipelined side runs ZERO dedicated servers (waiting clients
-//    flat-combine); combining is the shape that wins.
+//  * Sweep axes: lock mode x clients x max batch per drain. On the
+//    earlier 1-CORE container, BLOCKING + oversubscription was the
+//    pipeline's home turf (direct collapsed 14.0 -> 3.9 Mops from 1 to
+//    16 clients while the combiner kept one thread in the store: piped
+//    was 1.48x direct at 16 clients). On 4 cores (4-CPU Xeon VM, gcc
+//    12.2 -O2, 2026-10-17) no (clients, batch, mode) point of the full
+//    sweep beat direct by 1.1x: with closed-loop calls still routed
+//    through the combiner, piped/direct was 0.30-0.58x at batch 8/32 and
+//    0.84-1.04x at batch 1 (which then ran inline). That sweep is why
+//    closed-loop calls now run on the caller's thread.
 //
 // Per point, alongside the Mops pair, the run reports the service's
-// own accounting: mean/max batch size actually formed, ring-full
-// rejections, and the log2 batch-size and drain-time queue-depth
-// histograms (CSV rows `pr10_hist,<point>,<which>,<bucket>,<count>`;
-// batch=1 points run inline and have empty histograms by design). Mean
-// batch stays ~1: a client that finds its ring's combiner free runs its
-// own op inline, and a closed-loop client holds one request at a time,
-// so the combining win is the serialization, not the amortization.
+// own accounting over the piped chunks: mean/max batch size actually
+// formed, ring-full rejections, and the log2 batch-size and drain-time
+// queue-depth histograms (one CSV row per non-empty bucket, see
+// print_hist). Each async client holds one request at a time, so a
+// batch can never exceed the client count.
 //
 // Knobs: FLOCK_SVC_KEYS (16384), FLOCK_SVC_CHUNK (2000000 ops/side/round),
 // FLOCK_SVC_ROUNDS (3), FLOCK_SVC_RING (1024 slots/ring), FLOCK_SVC_POINTS
@@ -69,6 +59,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +78,34 @@ using svc_t = flock_service::service<uint64_t, uint64_t, false>;
 struct stream {
   std::vector<uint64_t> keys;
   std::vector<uint16_t> opv;  // per-position op draw in [0, 1000)
+};
+
+// The piped side's async client: one request in flight, submitted to
+// the key's ring, and drained by the submitter itself (or by whichever
+// client holds the combiner lock) until its completion publishes.
+struct piped_client {
+  svc_t& svc;
+
+  bool call(flock_service::op_kind kind, uint64_t k, uint64_t v,
+            uint64_t* found = nullptr) {
+    flock_service::completion<uint64_t> c;
+    c.arm();
+    const std::size_t ri = svc.ring_of(k);
+    while (!svc.try_submit({kind, k, v, &c})) svc.drain(ri);
+    while (!c.ready())
+      if (svc.drain(ri) == 0) std::this_thread::yield();
+    if (found != nullptr) *found = c.value;
+    return c.ok;
+  }
+  bool insert(uint64_t k, uint64_t v) {
+    return call(flock_service::op_kind::insert, k, v);
+  }
+  bool remove(uint64_t k) { return call(flock_service::op_kind::remove, k, 0); }
+  std::optional<uint64_t> find(uint64_t k) {
+    uint64_t v = 0;
+    if (!call(flock_service::op_kind::find, k, 0, &v)) return std::nullopt;
+    return v;
+  }
 };
 
 // One timed chunk: `clients` closed-loop threads split the chunk evenly,
@@ -141,7 +160,10 @@ double run_chunk_on(Target& tgt, const stream& st, long base, long chunk,
 
 double run_chunk(store_t& store, svc_t* svc, const stream& st, long base,
                  long chunk, int clients) {
-  if (svc != nullptr) return run_chunk_on(*svc, st, base, chunk, clients);
+  if (svc != nullptr) {
+    piped_client pc{*svc};
+    return run_chunk_on(pc, st, base, chunk, clients);
+  }
   return run_chunk_on(store, st, base, chunk, clients);
 }
 

@@ -6,17 +6,14 @@
 // switching lock modes at runtime.
 //
 // After the churn lifecycle, the same store is driven through the
-// batched serving front end (src/service/): FLOCK_SVC_CLIENTS closed-loop
-// client threads submit through shard-affine request rings while
-// FLOCK_SVC_SERVERS dedicated servers (0 = clients flat-combine) drain
-// and execute batches.
+// serving front end (src/service/): FLOCK_SVC_CLIENTS closed-loop client
+// threads, each running its ops on its own thread through the service's
+// double-read façade (the request rings serve async submitters only).
 //
 //   $ ./kv_store [threads] [millis-per-phase] [shards]
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
-#include <vector>
 
 #include "flock/flock.hpp"
 #include "service/service.hpp"
@@ -89,43 +86,24 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(kv.underlying().shrink_count()),
         kv.check_invariants() ? "ok" : "BROKEN");
 
-    // Service-tier phase: the SAME store, now behind the batched front
-    // end. Deployment shape comes from the environment (clamped parsing
-    // in flock/config.hpp); the default is two closed-loop clients that
-    // flat-combine with no dedicated server.
+    // Service-tier phase: the SAME store, now behind the serving front
+    // end. The client count comes from the environment (clamped parsing
+    // in flock/config.hpp); the default is two closed-loop clients.
     const flock::svc_tunables st = flock::svc_tunables_from_env();
     flock_service::service<uint64_t, uint64_t, false> svc(kv.underlying());
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> servers;
-    for (uint32_t s = 0; s < st.servers; s++)
-      servers.emplace_back(
-          [&svc, &stop, s, servers_n = st.servers] {
-            svc.serve(s, servers_n, stop);
-          });
     const flock::stats_snapshot before = flock::stats();
     flock_workload::run_config rc;
     rc.threads = static_cast<int>(st.clients);
     rc.update_percent = 20;
     rc.millis = millis;
     auto sres = flock_workload::run_mixed(svc, dist, rc);
-    // mo: release — pairs with serve()'s acquire poll so the servers'
-    // final sweep sees every request pushed before the stop.
-    stop.store(true, std::memory_order_release);
-    for (auto& t : servers) t.join();
     const flock::stats_snapshot after = flock::stats();
-    const unsigned long long batches = after.svc_batches - before.svc_batches;
-    const unsigned long long ops = after.svc_batch_ops - before.svc_batch_ops;
-    std::printf(
-        "  service %6.2f Mop/s  (%u clients, %u servers; %llu batches, "
-        "mean %.2f, max %llu; %llu ring-full, depth hw %llu) "
-        "invariants=%s\n",
-        sres.mops, st.clients, st.servers, batches,
-        batches != 0 ? static_cast<double>(ops) / batches : 0.0,
-        static_cast<unsigned long long>(after.svc_batch_max),
-        static_cast<unsigned long long>(after.svc_ring_full -
-                                        before.svc_ring_full),
-        static_cast<unsigned long long>(after.svc_depth_hw),
-        kv.check_invariants() ? "ok" : "BROKEN");
+    std::printf("  service %6.2f Mop/s  (%u clients; %llu ops executed) "
+                "invariants=%s\n",
+                sres.mops, st.clients,
+                static_cast<unsigned long long>(after.svc_batch_ops -
+                                                before.svc_batch_ops),
+                kv.check_invariants() ? "ok" : "BROKEN");
   }
   flock::epoch_manager::instance().flush();
   return 0;

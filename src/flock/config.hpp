@@ -126,45 +126,38 @@ inline backoff_tunables backoff_tunables_from_env() noexcept {
                                std::getenv("FLOCK_HELP_DELAY"));
 }
 
-// --- service-tier deployment knobs (examples/kv_store, bench) --------------
+// --- service-tier deployment knob (examples/kv_store) ----------------------
 //
-// How many closed-loop client threads drive the serving front end and how
-// many dedicated server threads drain its rings (0 servers is a valid
-// deployment: waiting clients flat-combine, see src/service/service.hpp).
+// How many closed-loop client threads drive the serving front end
+// (src/service/service.hpp; closed-loop calls run on the client's own
+// thread, so there is no server count to choose).
 struct svc_tunables {
   uint32_t clients = 2;
-  uint32_t servers = 0;
 };
 
-/// Clamp to ranges a deployment can actually run (clients >= 1 so a
-/// closed loop exists; servers may be 0 — combining covers progress — but
-/// both are bounded so a hostile environment cannot demand thousands of
-/// threads from a test box).
+/// Clamp to a range a deployment can actually run: clients >= 1 so a
+/// closed loop exists, and bounded so a hostile environment cannot
+/// demand thousands of threads from a test box.
 inline svc_tunables clamp_svc(svc_tunables t) noexcept {
   if (t.clients < 1) t.clients = 1;
   if (t.clients > 256) t.clients = 256;
-  if (t.servers > 64) t.servers = 64;
   return t;
 }
 
-/// Parse env-style strings (nullptr = keep default, garbage parses as 0
-/// and clamps). Split from the getenv call so tests can exercise
+/// Parse an env-style string (nullptr = keep default, garbage parses as
+/// 0 and clamps). Split from the getenv call so tests can exercise
 /// parse+clamp without mutating the process environment — the same
 /// contract as backoff_tunables_from above.
-inline svc_tunables svc_tunables_from(const char* clients_s,
-                                      const char* servers_s) noexcept {
+inline svc_tunables svc_tunables_from(const char* clients_s) noexcept {
   svc_tunables t;
   if (clients_s != nullptr)
     t.clients = static_cast<uint32_t>(std::strtoul(clients_s, nullptr, 10));
-  if (servers_s != nullptr)
-    t.servers = static_cast<uint32_t>(std::strtoul(servers_s, nullptr, 10));
   return clamp_svc(t);
 }
 
-/// The production env wiring, shared with the test that guards the names.
+/// The production env wiring, shared with the test that guards the name.
 inline svc_tunables svc_tunables_from_env() noexcept {
-  return svc_tunables_from(std::getenv("FLOCK_SVC_CLIENTS"),
-                           std::getenv("FLOCK_SVC_SERVERS"));
+  return svc_tunables_from(std::getenv("FLOCK_SVC_CLIENTS"));
 }
 
 namespace detail {

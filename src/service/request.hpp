@@ -60,10 +60,9 @@ struct completion {
     state.store(kDone, std::memory_order_release);
   }
 
-  /// Spin briefly, then yield — the closed-loop client wait. Callers that
-  /// can make progress themselves (combining) should prefer the service's
-  /// submit-and-wait helpers, which drain the ring between polls instead
-  /// of burning the time slice.
+  /// Spin briefly, then yield — a plain async-client wait. Submitters
+  /// that can make progress themselves should drain their ring between
+  /// polls instead of burning the time slice.
   void wait() const {
     for (int spins = 0; !ready(); spins++) {
       if (spins < 64) {

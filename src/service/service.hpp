@@ -1,71 +1,58 @@
-// service.hpp — the batched asynchronous serving front end over the
-// store tier: MPSC request rings + flat-combining batch execution.
+// service.hpp — the serving front end over the store tier: closed-loop
+// calls that run on the caller's thread, and MPSC request rings with
+// flat-combining batch execution for async submitters.
 //
-// Shape (the one a real serving system has): clients enqueue POD request
-// records (request.hpp) onto bounded MPSC queues (ring_queue.hpp), one
-// ring per store shard, and wait on client-owned completion slots; the
-// consumer side dequeues *batches* and executes the whole batch against
-// sharded_map under a single epoch entry. Two things make the batch
-// cheaper than the same ops issued directly:
+// Closed-loop path (find/insert/remove/move_to_target, execute()). The
+// calling thread runs the op itself through the double-read façade
+// below, with no combiner lock and no ring, at any max_batch. Lock-free
+// locks already absorb contention and preemption by helping (the
+// paper's mechanism), so funnelling a shard's closed-loop clients
+// through one combiner only serialized them. Each closed-loop op is
+// individually linearizable: it is one store op, or the façade's
+// source-then-target probe pair. execute() keeps the completion
+// contract for callers that hold their own slots: it arms the slot and
+// publishes the result exactly once.
 //
-//  * Amortized entry: one `with_epoch` brackets the whole batch, so
-//    every inner epoch entry (each op's with_epoch, each find's
-//    read_guard) nests for free — the per-op seq_cst announce that
-//    dominates a warm op's fixed cost is paid once per batch.
-//  * Flat combining: a per-ring combiner lock serializes consumers, so
-//    N clients hammering a hot shard become ONE thread executing their
-//    combined batch without lock contention, helping traffic, or
-//    descriptor churn. The pipeline needs no dedicated server thread:
-//    dedicated servers (serve()) are an optional deployment shape, not a
-//    liveness requirement.
+// Async path (try_submit + drain/serve). A client that keeps requests
+// in flight enqueues POD request records (request.hpp) onto bounded
+// MPSC queues (ring_queue.hpp), one ring per store shard, and checks
+// its client-owned completion slots later. A per-ring combiner lock
+// serializes consumers: drain() pops a batch of at most max_batch and
+// executes it under ONE `with_epoch` entry, so every inner epoch entry
+// (each op's with_epoch, each find's read_guard) nests for free.
+// Whoever holds requests in flight may drain; serve() runs optional
+// dedicated server threads over the same drain.
 //
-// Closed-loop path (execute()). A client that finds its ring's combiner
-// word free (test, then exchange) becomes the combiner: it drains one
-// queued batch of at most max_batch first, so earlier submitters keep
-// FIFO precedence, then executes its own request in place under the same
-// lock and epoch entry — no ring round trip, accounted as a batch of 1.
-// (With nothing queued there is no batch entry to share, and the op runs
-// under its own entries: for a find, the cheaper sticky read_guard.)
-// A client that loses the race pushes its request and spins on its own
-// completion word with `pause` between checks, draining whenever a plain
-// load shows the combiner free. After kSpinPauses idle rounds (about
-// 10 us) it falls back to a yield/sleep ladder, which is what keeps an
-// oversubscribed box from rotating every waiter through the runqueue.
-//
-// Shared-line discipline. Nothing on the closed-loop path RMWs a
-// process-wide line: the service counters are per-thread single-writer
-// cells summed by flock::stats() (stats.hpp), the batch and depth
-// histograms live in each ring and are written under its combiner lock,
-// and queue depth is sampled by the combiner when it drains, not by each
-// pusher.
+// Shared-line discipline. Nothing on the closed-loop path writes a line
+// another thread writes: each closed-loop op is counted as a batch of 1
+// in the caller's per-thread service cell (stats.hpp), so svc_batch_ops
+// counts every executed op exactly once. The batch and depth histograms
+// describe ring drains only; they live in each ring and are written
+// under its combiner lock, and queue depth is sampled by the combiner
+// when it drains, not by each pusher.
 //
 // Measured on 4 cores (4-CPU Xeon VM, 1 NUMA node, gcc 12.2 -O2,
-// 2026-10-17). perfbench `service_mixed` (3 closed-loop clients, 80/20
-// mix on 100K zipf keys, medians of ten 20 s runs) went from 1.83 to
-// 5.16 Mop/s (2.8x) with the pieces above, find p99 from 3.2 to 2.0 us
-// and update p99 from 110 to 2.5 us (the old waiters fell into 50 us
-// sleeps after two yields). Against direct store calls the piped path
-// still loses on 4 cores: bench/service_pipeline.cpp at 16 clients,
-// batch 8, pipes 3.8-5.0 Mops lock-free (0.35-0.42x direct) and 5.9-6.2
-// Mops blocking (0.7x). The 1.48x over direct recorded when the tier
-// landed was a 1-CORE result — blocking locks under oversubscription,
-// where a preempted bucket-lock holder stalls everyone and the
-// combiner's serialization wins — and does not reproduce on 4 cores.
-// With lock-free locks the runtime already absorbs preemption by
-// helping, the paper's own mechanism, so the service tier earns its cost
-// only when the async API itself is the point.
+// 2026-10-17; details in ARCHITECTURE.md section 4): running closed-loop
+// calls inline took perfbench `service_mixed` (3 closed-loop clients,
+// 80/20 mix on 100K zipf keys, medians of ten 20 s runs) from 5.63 to
+// 13.97 Mop/s (2.48x), find p99 from 2.0 to 0.70 us and update p99 from
+// 2.5 to 1.3 us. The 1.48x over direct recorded when the tier landed
+// was a 1-CORE result — blocking locks under oversubscription, where a
+// preempted bucket-lock holder stalls everyone and the combiner's
+// serialization wins — and did not reproduce on 4 cores at any
+// (clients, batch, mode) point.
 //
-// Batch execution order: reads first, grouped (each through the
-// memoized-read cache and the optimistic find path), then writes.
+// Batch execution order (drains): reads first, grouped (each through
+// the memoized-read cache and the optimistic find path), then writes.
 // Within one batch a read may therefore be served before an
-// earlier-enqueued write from a DIFFERENT client; a client that needs
-// read-your-write orders its own requests by waiting for the write's
-// completion before submitting the read (the closed-loop helpers do
-// exactly that). Completion publication is per-op and exactly-once: the
-// ring hands each record to exactly one drain, and a drain publishes
-// each popped record once — a parked (chaos-killed) combiner still owns
-// its popped batch and completes it on release, which the chaos tests
-// assert window by window.
+// earlier-enqueued write from a DIFFERENT client; an async client that
+// needs read-your-write orders its own requests by waiting for the
+// write's completion before submitting the read. Completion
+// publication is per-op and exactly-once: the ring hands each record to
+// exactly one drain, and a drain publishes each popped record once — a
+// parked (chaos-killed) combiner still owns its popped batch and
+// completes it on release, which the chaos tests assert window by
+// window.
 //
 // Double-read façade (the pending item from sharded_map::rebalance_into):
 // during a live rebalance window — begin_rebalance(dst) armed, a
@@ -95,12 +82,12 @@
 //                           combiner owns in-flight requests; release
 //                           resumes and completes them exactly once)
 //   svc.exec.pre_complete   op executed, completion not yet published
-//                           (the hardest window: work done, waiter blind)
+//                           (the hardest window: work done, waiter blind;
+//                           crossed by drains and by inline execute())
 #pragma once
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -156,7 +143,6 @@ class service {
  public:
   using store_t = flock_store::sharded_map<K, V, Strict>;
   using request_t = request<K, V>;
-  using completion_t = completion<V>;
 
   struct options {
     std::size_t ring_capacity = 1024;  // per ring, rounded to a power of two
@@ -181,122 +167,47 @@ class service {
   /// `r.done` and keep both the completion and any referenced storage
   /// alive until the completion publishes. Returns false on a full ring
   /// (backpressure — the request was NOT enqueued and is retryable;
-  /// counted in svc_ring_full).
-  bool try_submit(const request_t& r) { return try_submit_to(ring_of(r.key), r); }
+  /// counted in svc_ring_full). Some drain() or serve() must then run
+  /// the ring.
+  bool try_submit(const request_t& r) {
+    if (!rings_[ring_of(r.key)]->q.try_push(r)) {
+      ++flock::detail::my_svc_cell().ring_full;
+      return false;
+    }
+    // Window: request visible to combiners, submitter not yet waiting.
+    FLOCK_FAULTPOINT("svc.enqueue.post_push");
+    return true;
+  }
 
-  /// Closed-loop helpers: submit one op and combine while waiting. These
-  /// make the service a drop-in Set for the workload driver (run_mixed /
-  /// run_churn drive them as closed-loop clients).
-  /// In the degenerate no-combining configuration (max_batch == 1) the
-  /// sync helpers skip the completion slot too: the caller IS the
-  /// executor, so the result can flow back as a return value instead of
-  /// a publish/ready round trip through an atomic stack slot. execute()
-  /// keeps the full completion contract at any max_batch for callers
-  /// that hold their own slots.
+  /// Closed-loop helpers: run one op on the calling thread and return its
+  /// result. These make the service a drop-in Set for the workload driver
+  /// (run_mixed / run_churn drive them as closed-loop clients).
   std::optional<V> find(K k) {
-    if (max_batch_ == 1) return facade_find(k);
-    completion_t c;
-    execute({op_kind::find, k, V{}, &c});
-    return c.ok ? std::optional<V>(c.value) : std::nullopt;
+    count_inline();
+    return facade_find(k);
   }
   bool insert(K k, V v) {
-    if (max_batch_ == 1)
-      return execute_write({op_kind::insert, k, v, nullptr});
-    completion_t c;
-    execute({op_kind::insert, k, v, &c});
-    return c.ok;
+    count_inline();
+    return execute_write({op_kind::insert, k, v, nullptr});
   }
   bool remove(K k) {
-    if (max_batch_ == 1)
-      return execute_write({op_kind::remove, k, V{}, nullptr});
-    completion_t c;
-    execute({op_kind::remove, k, V{}, &c});
-    return c.ok;
+    count_inline();
+    return execute_write({op_kind::remove, k, V{}, nullptr});
   }
-  /// Move `k` from the primary into the armed rebalance target through
-  /// the pipeline (false when no window is armed or the key raced away).
+  /// Move `k` from the primary into the armed rebalance target (false
+  /// when no window is armed or the key raced away).
   bool move_to_target(K k) {
-    if (max_batch_ == 1)
-      return execute_write({op_kind::move, k, V{}, nullptr});
-    completion_t c;
-    execute({op_kind::move, k, V{}, &c});
-    return c.ok;
+    count_inline();
+    return execute_write({op_kind::move, k, V{}, nullptr});
   }
 
-  /// Submit-and-wait with combining. Fast path: a client that finds its
-  /// ring's combiner free becomes the combiner — it drains one queued
-  /// batch first (earlier submitters keep FIFO precedence), then runs its
-  /// own request in place under the same lock and epoch entry, with no
-  /// ring round trip (a batch of 1 in the accounting). Otherwise it
-  /// queues and waits in execute_queued().
-  ///
-  /// Degenerate configuration: max_batch == 1 turns combining off and
-  /// the closed-loop path executes inline with no combiner lock at all,
-  /// with the same façade semantics and the same completion contract.
-  /// "No batching" then costs what a direct store call costs; routing it
-  /// through the combiner would serialize each shard's clients for no
-  /// batching benefit (0.34-0.55x direct at 2-16 clients on 4 cores).
-  /// Async submits (try_submit + drain/serve) flow through the ring at
-  /// any max_batch.
+  /// Closed-loop op with the completion contract, for callers that hold
+  /// their own slots: arms `r.done`, runs the op on the calling thread
+  /// and publishes the result exactly once. No ring, no combiner lock.
   void execute(request_t r) {
     r.done->arm();
-    if (max_batch_ == 1) {
-      if (r.kind == op_kind::find) {
-        std::optional<V> f = facade_find(r.key);
-        publish(r, f.has_value(), f.has_value() ? *f : V{});
-      } else {
-        publish(r, execute_write(r), V{});
-      }
-      return;
-    }
-    const std::size_t ri = ring_of(r.key);
-    ring_state& rs = *rings_[ri];
-    if (try_lock(rs)) {
-      combine_locked(rs, &r);
-      unlock(rs);
-      return;
-    }
-    execute_queued(ri, r);
-  }
-
-  /// The queued path lives in a separate noinline member so the ring
-  /// loops do not crowd the fast path out of the caller's inline budget.
-  ///
-  /// Waiting discipline: spin on the own completion word, pausing between
-  /// checks and draining whenever a plain load shows the combiner free
-  /// (drain's test-then-exchange), for kSpinPauses idle rounds; then
-  /// yield a couple of times, then back off to real sleeps. The spin
-  /// serves threads <= cores, where a combining pass ends within a few
-  /// microseconds. The sleeps serve oversubscription: yield-spinning
-  /// waiters stay runnable and force a context-switch rotation through
-  /// every waiter each time the combiner is preempted, while sleeping
-  /// waiters leave the runqueue, so the combiner gets whole quanta. A
-  /// waiter that wakes while the combiner is parked drains the ring
-  /// itself (progress never depends on the sleeper's timer).
-#if defined(__GNUC__)
-  __attribute__((noinline))
-#endif
-  void execute_queued(std::size_t ri, request_t r) {
-    while (!try_submit_to(ri, r)) drain(ri);
-    int idle = 0;
-    while (!r.done->ready()) {
-      if (drain(ri) != 0) {
-        idle = 0;
-        continue;
-      }
-      ++idle;
-      if (idle <= kSpinPauses) {
-        flock::detail::cpu_pause();
-        continue;
-      }
-      const int ladder = idle - kSpinPauses;
-      if (ladder <= 2) {
-        std::this_thread::yield();
-      } else {
-        const int shift = ladder - 3 < 4 ? ladder - 3 : 4;
-        std::this_thread::sleep_for(std::chrono::microseconds(50L << shift));
-      }
-    }
+    count_inline();
+    complete(r);
   }
 
   /// One combining pass over ring `ri`: try to take the combiner lock,
@@ -306,17 +217,18 @@ class service {
   std::size_t drain(std::size_t ri) {
     ring_state& rs = *rings_[ri];
     if (!try_lock(rs)) return 0;
-    const std::size_t n = combine_locked(rs, nullptr);
+    const std::size_t n = combine_locked(rs);
     unlock(rs);
     return n;
   }
 
   /// Dedicated server loop: round-robin drain of the rings owned by
   /// server `id` of `servers` (ring i belongs to server i % servers),
-  /// yielding when a full sweep found nothing. Optional — clients combine
-  /// on their own — but it models the deployment where server threads own
-  /// shard-affine rings and absorb the execution work entirely. After
-  /// `stop`, one final sweep completes anything already enqueued.
+  /// yielding when a full sweep found nothing. Optional — async
+  /// submitters may drain on their own — but it models the deployment
+  /// where server threads own shard-affine rings and absorb the
+  /// execution work entirely. After `stop`, one final sweep completes
+  /// anything already enqueued.
   void serve(std::size_t id, std::size_t servers,
              const std::atomic<bool>& stop) {
     if (servers == 0) servers = 1;
@@ -369,27 +281,18 @@ class service {
   }
 
   /// Per-service histograms, summed across rings: the size of every
-  /// batch (queued or inline), and the queue depth each combining pass
-  /// saw on taking the lock (0: the pass ran only its own inline op).
-  histogram batch_histogram() const { return sum(&ring_state::batch_hist, 1); }
-  histogram depth_histogram() const { return sum(&ring_state::depth_hist, 0); }
+  /// drained batch, and the queue depth each such drain saw on taking
+  /// the lock. Closed-loop ops never enter them.
+  histogram batch_histogram() const { return sum(&ring_state::batch_hist); }
+  histogram depth_histogram() const { return sum(&ring_state::depth_hist); }
 
  private:
-  /// Pause budget of a waiter that lost the combiner race, before it
-  /// falls back to the yield/sleep ladder: about 10 us on current x86,
-  /// several combining passes on a 4-core box.
-  static constexpr int kSpinPauses = 256;
-
   struct alignas(64) ring_state {
     ring_queue<request_t> q;
     // 0 = free; serializes consumers.
     alignas(64) std::atomic<uint32_t> combiner{0};
     // Guarded by the combiner lock (handed combiner to combiner through
-    // its acquire/release pair). `lone` counts passes that ran only their
-    // caller's own op on an empty ring — a batch of 1 at depth 0, folded
-    // into the histograms by their accessors. It shares the lock's line,
-    // so the common inline pass writes no line the lock did not bring.
-    std::atomic<uint64_t> lone{0};
+    // its acquire/release pair).
     std::unique_ptr<request_t[]> batch;
     histogram batch_hist;
     histogram depth_hist;
@@ -414,71 +317,43 @@ class service {
   }
 
   /// One combining pass; the caller holds `rs`'s combiner lock. Pops one
-  /// queued batch of at most max_batch, then runs `own` (a request that
-  /// never entered the ring, or null) after it, all under ONE epoch
-  /// entry. A lone `own` skips the outer entry: there is nothing to
-  /// amortize, and its own entries are cheaper (a find keeps the sticky
-  /// read_guard announcement that a top-level with_epoch would re-pay).
-  /// Returns the number of queued requests executed.
-  std::size_t combine_locked(ring_state& rs, request_t* own) {
+  /// queued batch of at most max_batch and runs it under ONE epoch
+  /// entry. Returns the number of requests executed.
+  std::size_t combine_locked(ring_state& rs) {
     const std::size_t depth = rs.q.approx_size();
     const std::size_t n =
         depth == 0 ? 0 : rs.q.pop_up_to(rs.batch.get(), max_batch_);
-    if (n == 0 && own == nullptr) return 0;
-    if (n == 0) {
-      execute_batch(own, 1);
-    } else {
-      // Window: batch popped and owned by this combiner, nothing
-      // executed. A kill here parks the combiner holding both the lock
-      // and the in-flight requests; release resumes and completes them.
-      FLOCK_FAULTPOINT("svc.drain.post_pop");
-      flock::with_epoch([&] {
-        execute_batch(rs.batch.get(), n);
-        if (own != nullptr) execute_batch(own, 1);
-        return true;
-      });
-    }
+    if (n == 0) return 0;
+    // Window: batch popped and owned by this combiner, nothing executed.
+    // A kill here parks the combiner holding both the lock and the
+    // in-flight requests; release resumes and completes them.
+    FLOCK_FAULTPOINT("svc.drain.post_pop");
+    flock::with_epoch([&] {
+      execute_batch(rs.batch.get(), n);
+      return true;
+    });
     flock::detail::svc_cell& c = flock::detail::my_svc_cell();
-    c.batches += (n != 0) + (own != nullptr);
-    c.batch_ops += n + (own != nullptr);
-    const std::size_t largest = n != 0 ? n : 1;  // n == 0: own alone
-    if (largest > c.batch_max) c.batch_max = largest;
+    c.batches += 1;
+    c.batch_ops += n;
+    if (n > c.batch_max) c.batch_max = n;
     if (depth > c.depth_hw) c.depth_hw = depth;
-    if (n == 0 && depth == 0) {
-      // mo: relaxed (both) — monitoring counter, same contract as
-      // histogram::add.
-      rs.lone.store(rs.lone.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-      return 0;
-    }
-    if (n != 0) rs.batch_hist.add(n);
-    if (own != nullptr) rs.batch_hist.add(1);
+    rs.batch_hist.add(n);
     rs.depth_hist.add(depth);
     return n;
   }
 
-  bool try_submit_to(std::size_t ri, const request_t& r) {
-    if (!rings_[ri]->q.try_push(r)) {
-      ++flock::detail::my_svc_cell().ring_full;
-      return false;
-    }
-    // Window: request visible to combiners, submitter not yet waiting.
-    FLOCK_FAULTPOINT("svc.enqueue.post_push");
-    return true;
+  /// A closed-loop op is a batch of 1 in the caller's own cell: no
+  /// shared line is written.
+  static void count_inline() {
+    flock::detail::svc_cell& c = flock::detail::my_svc_cell();
+    c.batches += 1;
+    c.batch_ops += 1;
+    if (c.batch_max == 0) c.batch_max = 1;
   }
 
-  /// Sum one histogram across rings, adding each ring's lone passes to
-  /// bucket `lone_bucket`.
-  histogram sum(histogram ring_state::*which, int lone_bucket) const {
+  histogram sum(histogram ring_state::*which) const {
     histogram h;
-    uint64_t lone = 0;
-    for (const auto& rs : rings_) {
-      h.merge((*rs).*which);
-      // mo: relaxed — monitoring read, same contract as histogram::count.
-      lone += rs->lone.load(std::memory_order_relaxed);
-    }
-    h.buckets[lone_bucket].store(h.count(lone_bucket) + lone,
-                                 std::memory_order_relaxed);  // mo: ditto
+    for (const auto& rs : rings_) h.merge((*rs).*which);
     return h;
   }
 
@@ -487,14 +362,19 @@ class service {
   /// Inner epoch entries (each op's with_epoch, each find's read_guard)
   /// nest for free under the outer region.
   void execute_batch(request_t* b, std::size_t n) {
-    for (std::size_t i = 0; i < n; i++) {
-      if (b[i].kind != op_kind::find) continue;
-      std::optional<V> r = facade_find(b[i].key);
-      publish(b[i], r.has_value(), r.has_value() ? *r : V{});
-    }
-    for (std::size_t i = 0; i < n; i++) {
-      if (b[i].kind == op_kind::find) continue;
-      publish(b[i], execute_write(b[i]), V{});
+    for (std::size_t i = 0; i < n; i++)
+      if (b[i].kind == op_kind::find) complete(b[i]);
+    for (std::size_t i = 0; i < n; i++)
+      if (b[i].kind != op_kind::find) complete(b[i]);
+  }
+
+  /// Run one request and publish its result.
+  void complete(request_t& r) {
+    if (r.kind == op_kind::find) {
+      std::optional<V> f = facade_find(r.key);
+      publish(r, f.has_value(), f.has_value() ? *f : V{});
+    } else {
+      publish(r, execute_write(r), V{});
     }
   }
 
@@ -537,7 +417,7 @@ class service {
                    flock_ds::move_outcome::moved;
       }
       case op_kind::find:
-        break;  // handled in the read group
+        break;  // complete() routes finds to facade_find
     }
     return false;
   }

@@ -1,13 +1,15 @@
 // Service tier (src/service/): the bounded MPSC request ring, the
-// flat-combining batch executor, the double-read rebalance façade, and
-// the chaos windows of the enqueue -> drain -> complete pipeline.
+// closed-loop path that runs on the caller's thread, the flat-combining
+// batch executor behind async submits, the double-read rebalance façade,
+// and the chaos windows of the enqueue -> drain -> complete pipeline.
 //
 // The ring tests drive the Vyukov sequence-number protocol through its
 // edges directly (wraparound, full/empty, slot reuse across thousands of
 // laps on a capacity-4 ring — the wrapped-index ABA shape 64-bit
-// sequences design out). The service tests run both deployment shapes
-// (client combining with zero servers, and a dedicated server thread)
-// in both lock modes. The chaos tests park a thread at each pipeline
+// sequences design out). The service tests run closed-loop calls next
+// to both async shapes (submitters draining their own rings, and a
+// dedicated server thread) in both lock modes. The chaos tests park a
+// thread at each pipeline
 // window and assert the exactly-once completion story: a killed combiner
 // still owns its popped batch and publishes every completion exactly
 // once when released; a killed client's already-pushed request is
@@ -46,6 +48,13 @@ void spin_until(F&& pred) {
 uint64_t key_in_ring(const svc_t& svc, std::size_t ri, uint64_t from) {
   while (svc.ring_of(from) != ri) from++;
   return from;
+}
+
+// Entries across all buckets: the number of drains a histogram recorded.
+uint64_t total(const flock_service::histogram& h) {
+  uint64_t n = 0;
+  for (int b = 0; b < flock_service::histogram::kBuckets; b++) n += h.count(b);
+  return n;
 }
 
 // --- ring_queue -------------------------------------------------------------
@@ -145,39 +154,26 @@ TEST(RingQueue, MpscSlotReuseAtCapacityPreservesPerProducerOrder) {
 // --- deployment knobs (flock/config.hpp svc_tunables) -----------------------
 
 TEST(SvcTunables, ParseFromStringsAndDefaults) {
-  auto t = flock::svc_tunables_from("8", "2");
-  EXPECT_EQ(t.clients, 8u);
-  EXPECT_EQ(t.servers, 2u);
-  t = flock::svc_tunables_from(nullptr, nullptr);
-  EXPECT_EQ(t.clients, 2u);  // defaults survive absent env
-  EXPECT_EQ(t.servers, 0u);
+  EXPECT_EQ(flock::svc_tunables_from("8").clients, 8u);
+  EXPECT_EQ(flock::svc_tunables_from(nullptr).clients, 2u);  // absent env
 }
 
 TEST(SvcTunables, ClampsHostileValues) {
-  // Garbage parses as 0: clients clamps up to a runnable closed loop,
-  // servers stays 0 (a valid deployment — clients combine).
-  auto t = flock::svc_tunables_from("garbage", "junk");
-  EXPECT_EQ(t.clients, 1u);
-  EXPECT_EQ(t.servers, 0u);
-  // Huge and negative (strtoul wraps) both clamp to the thread-count caps.
-  t = flock::svc_tunables_from("4000000000", "-1");
-  EXPECT_EQ(t.clients, 256u);
-  EXPECT_EQ(t.servers, 64u);
-  t = flock::svc_tunables_from("0", "0");
-  EXPECT_EQ(t.clients, 1u);
-  EXPECT_EQ(t.servers, 0u);
+  // Garbage parses as 0 and clamps up to a runnable closed loop.
+  EXPECT_EQ(flock::svc_tunables_from("garbage").clients, 1u);
+  EXPECT_EQ(flock::svc_tunables_from("0").clients, 1u);
+  // Huge and negative (strtoul wraps) both clamp to the thread-count cap.
+  EXPECT_EQ(flock::svc_tunables_from("4000000000").clients, 256u);
+  EXPECT_EQ(flock::svc_tunables_from("-1").clients, 256u);
 }
 
 TEST(SvcTunables, ReadsTheRealEnvironmentNames) {
-  // Guards the literal env names: a typo here would silently disable the
+  // Guards the literal env name: a typo here would silently disable the
   // knob (same contract as Backoff.TunablesReadEnvironment).
   ::setenv("FLOCK_SVC_CLIENTS", "5", 1);
-  ::setenv("FLOCK_SVC_SERVERS", "3", 1);
   auto t = flock::svc_tunables_from_env();
   ::unsetenv("FLOCK_SVC_CLIENTS");
-  ::unsetenv("FLOCK_SVC_SERVERS");
   EXPECT_EQ(t.clients, 5u);
-  EXPECT_EQ(t.servers, 3u);
 }
 
 // --- service: both lock modes ----------------------------------------------
@@ -191,7 +187,7 @@ class ServiceTest : public ::testing::TestWithParam<bool> {
   }
 };
 
-TEST_P(ServiceTest, ClosedLoopOpsThroughClientCombining) {
+TEST_P(ServiceTest, ClosedLoopOpsRunInline) {
   map_t m(4);
   svc_t svc(m);
   EXPECT_TRUE(svc.insert(7, 70));
@@ -201,9 +197,28 @@ TEST_P(ServiceTest, ClosedLoopOpsThroughClientCombining) {
   EXPECT_TRUE(svc.remove(7));
   EXPECT_FALSE(svc.remove(7));
   EXPECT_EQ(svc.find(7), std::nullopt);
-  // The pipeline writes land in the underlying store.
+  // The closed-loop writes land in the underlying store.
   EXPECT_TRUE(svc.insert(9, 90));
   EXPECT_EQ(m.find(9), std::optional<uint64_t>(90));
+  // Closed-loop calls never touch a ring: with an async request queued
+  // on key 9's ring and nobody draining, calls on that same ring still
+  // complete, and they leave the queued request where it is.
+  const std::size_t ri = svc.ring_of(9);
+  completion<uint64_t> q;
+  q.arm();
+  ASSERT_TRUE(svc.try_submit({op_kind::remove, 9, 0, &q}));
+  const uint64_t k = key_in_ring(svc, ri, 10);
+  EXPECT_TRUE(svc.insert(k, 1));
+  EXPECT_EQ(svc.find(9), std::optional<uint64_t>(90));
+  completion<uint64_t> c;
+  svc.execute({op_kind::find, k, 0, &c});
+  EXPECT_TRUE(c.ready());  // execute() published before returning
+  EXPECT_TRUE(c.ok);
+  EXPECT_EQ(c.value, 1u);
+  EXPECT_FALSE(q.ready());
+  EXPECT_EQ(svc.drain(ri), 1u);  // the queued remove runs only now
+  EXPECT_TRUE(q.ready() && q.ok);
+  EXPECT_EQ(svc.find(9), std::nullopt);
   EXPECT_TRUE(m.check_invariants());
 }
 
@@ -242,18 +257,20 @@ TEST_P(ServiceTest, CountersAndHistogramsAccountSingleThreaded) {
   svc_t svc(m);
   for (uint64_t k = 0; k < 10; k++) EXPECT_TRUE(svc.insert(k, k));
   for (uint64_t k = 0; k < 10; k++) EXPECT_TRUE(svc.find(k).has_value());
+  completion<uint64_t> own;
+  svc.execute({op_kind::remove, 0, 0, &own});
+  EXPECT_TRUE(own.ok);
   const flock::stats_snapshot mid = flock::stats();
-  // Single-threaded closed loop: every op finds its combiner free and
-  // runs inline as its own batch of 1, so the accounting is exact.
-  EXPECT_EQ(mid.svc_batch_ops - before.svc_batch_ops, 20u);
-  EXPECT_EQ(mid.svc_batches - before.svc_batches, 20u);
+  // Every closed-loop op is a batch of 1 in this thread's own cell, so
+  // the accounting is exact.
+  EXPECT_EQ(mid.svc_batch_ops - before.svc_batch_ops, 21u);
+  EXPECT_EQ(mid.svc_batches - before.svc_batches, 21u);
   EXPECT_GE(mid.svc_batch_max, 1u);
   EXPECT_EQ(mid.svc_ring_full, before.svc_ring_full);
-  // Per-service histograms: 20 one-element batches (bucket 1 holds the
-  // value 1), and depth is sampled by the combiner at drain time — every
-  // inline pass found its ring empty (bucket 0).
-  EXPECT_EQ(svc.batch_histogram().count(1), 20u);
-  EXPECT_EQ(svc.depth_histogram().count(0), 20u);
+  // The per-service histograms describe ring drains only: closed-loop
+  // ops never enter them.
+  EXPECT_EQ(total(svc.batch_histogram()), 0u);
+  EXPECT_EQ(total(svc.depth_histogram()), 0u);
   // Queued path: two async submits to one ring, then one drain. The pass
   // sees depth 2 and runs a batch of 2 (bucket 2 holds [2, 4)).
   const std::size_t ri = svc.ring_of(100);
@@ -265,6 +282,7 @@ TEST_P(ServiceTest, CountersAndHistogramsAccountSingleThreaded) {
   ASSERT_TRUE(svc.try_submit({op_kind::insert, k2, 2, &c2}));
   EXPECT_EQ(svc.drain(ri), 2u);
   EXPECT_TRUE(c1.ready() && c2.ready());
+  EXPECT_EQ(svc.drain(ri), 0u);  // an empty pass is not a batch
   const flock::stats_snapshot after = flock::stats();
   EXPECT_EQ(after.svc_batches - mid.svc_batches, 1u);
   EXPECT_EQ(after.svc_batch_ops - mid.svc_batch_ops, 2u);
@@ -272,14 +290,13 @@ TEST_P(ServiceTest, CountersAndHistogramsAccountSingleThreaded) {
   EXPECT_GE(after.svc_depth_hw, 2u);
   EXPECT_EQ(svc.batch_histogram().count(2), 1u);
   EXPECT_EQ(svc.depth_histogram().count(2), 1u);
-  EXPECT_EQ(svc.depth_histogram().count(0), 20u);
+  EXPECT_EQ(total(svc.batch_histogram()), 1u);
+  EXPECT_EQ(total(svc.depth_histogram()), 1u);
 }
 
 TEST_P(ServiceTest, DegenerateBatchOneRunsInline) {
-  // max_batch == 1 turns combining off: the closed-loop helpers execute
-  // inline (no ring round trip, no batch accounting) so "no batching"
-  // costs what a direct call costs — but the async submit path still
-  // flows through the ring and still drains one op per pass.
+  // max_batch == 1 bounds every drain to one request. Closed-loop calls
+  // run inline at every max_batch, this one included.
   const flock::stats_snapshot before = flock::stats();
   map_t m(2);
   svc_t::options o;
@@ -290,10 +307,10 @@ TEST_P(ServiceTest, DegenerateBatchOneRunsInline) {
   EXPECT_TRUE(svc.remove(1));
   EXPECT_EQ(svc.find(1), std::nullopt);
   const flock::stats_snapshot mid = flock::stats();
-  EXPECT_EQ(mid.svc_batches, before.svc_batches);  // inline: never drained
-  EXPECT_EQ(mid.svc_batch_ops, before.svc_batch_ops);
-  // The façade still applies inline: a key moved out of the primary
-  // mid-window is served through the source-first fallback.
+  EXPECT_EQ(mid.svc_batch_ops - before.svc_batch_ops, 4u);
+  EXPECT_EQ(total(svc.batch_histogram()), 0u);
+  // The façade applies inline: a key moved out of the primary mid-window
+  // is served through the source-first fallback.
   map_t dst(2);
   ASSERT_TRUE(svc.insert(2, 20));
   svc.begin_rebalance(dst);
@@ -301,15 +318,29 @@ TEST_P(ServiceTest, DegenerateBatchOneRunsInline) {
   EXPECT_EQ(svc.find(2), std::optional<uint64_t>(20));
   EXPECT_TRUE(svc.remove(2));
   svc.end_rebalance();
-  // Async submits keep using the ring even at max_batch 1.
-  completion<uint64_t> c;
-  c.arm();
-  req_t r{op_kind::insert, 3, 30, &c};
-  EXPECT_TRUE(svc.try_submit(r));
-  EXPECT_EQ(svc.drain(svc.ring_of(3)), 1u);
-  EXPECT_TRUE(c.ready());
-  EXPECT_TRUE(c.ok);
-  EXPECT_EQ(flock::stats().svc_batches, mid.svc_batches + 1);
+  // Three async submits to one ring take three drains of one request.
+  const std::size_t ri = svc.ring_of(3);
+  const uint64_t keys[3] = {3, key_in_ring(svc, ri, 4),
+                            key_in_ring(svc, ri, key_in_ring(svc, ri, 4) + 1)};
+  completion<uint64_t> c[3];
+  for (int i = 0; i < 3; i++) {
+    c[i].arm();
+    ASSERT_TRUE(svc.try_submit({op_kind::insert, keys[i], 30, &c[i]}));
+  }
+  const flock::stats_snapshot queued = flock::stats();
+  for (int i = 0; i < 3; i++) {
+    EXPECT_EQ(svc.drain(ri), 1u);
+    EXPECT_TRUE(c[i].ready() && c[i].ok);  // FIFO: one more per pass
+    if (i + 1 < 3) {
+      EXPECT_FALSE(c[i + 1].ready());
+    }
+  }
+  EXPECT_EQ(svc.drain(ri), 0u);
+  const flock::stats_snapshot after = flock::stats();
+  EXPECT_EQ(after.svc_batches - queued.svc_batches, 3u);
+  EXPECT_EQ(after.svc_batch_ops - queued.svc_batch_ops, 3u);
+  EXPECT_EQ(svc.batch_histogram().count(1), 3u);
+  EXPECT_EQ(total(svc.batch_histogram()), 3u);
   EXPECT_TRUE(m.check_invariants());
 }
 
@@ -348,96 +379,93 @@ TEST_P(ServiceTest, RingFullIsRetryableBackpressure) {
   EXPECT_GE(flock::stats().svc_batch_max, 2u);
 }
 
-// Four closed-loop clients on ONE service, real threads: every request
-// must execute exactly once whichever path it took (inline or queued),
-// and the accounting must add up exactly. Publications are counted at
-// the svc.exec.pre_complete faultpoint, armed with a fault that never
-// fires (victim-only, no victim), so its hit count is the number of
-// publish() calls. Every op owns a fresh completion slot: 4N publishes
-// over 4N slots, all of them ready, means exactly one publish per slot.
+// Four clients on ONE service, real threads: two closed-loop clients
+// call execute() (inline), two async clients try_submit and drain their
+// own rings until their completion is ready. Every request must execute
+// exactly once whichever path it took, and the accounting must add up
+// exactly. Publications are counted at the svc.exec.pre_complete
+// faultpoint, armed with a fault that never fires (victim-only, no
+// victim), so its hit count is the number of publish() calls. Every op
+// owns a fresh completion slot: 4N publishes over 4N slots, all of them
+// ready, means exactly one publish per slot.
 TEST_P(ServiceTest, FourClientsAccountEveryOpExactlyOnce) {
   constexpr int kClients = 4;
+  constexpr int kAsync = 2;  // clients [0, kAsync) submit asynchronously
   constexpr int kOps = 4000;
   constexpr uint64_t kKeys = 256;
   auto value_of = [](uint64_t k) { return k * 7 + 1; };
-  map_t m(2);  // few shards: clients collide on rings
+  map_t m(2);  // few shards: async clients collide on rings
   svc_t svc(m);
   uint64_t prefill = 0;
   for (uint64_t k = 0; k < kKeys; k += 2) prefill += m.insert(k, value_of(k));
-  uint64_t inserted = 0, removed = 0;
-  bool queued_seen = false, inline_seen = false;
-  // Repeat rounds (bounded) until both paths were observed; each round
-  // checks the full accounting on its own.
-  for (int round = 0; round < 20 && !(queued_seen && inline_seen); round++) {
-    chaos::reset();
-    chaos::arm_options never;
-    never.victim_only = true;
-    ASSERT_TRUE(
-        chaos::arm("svc.exec.pre_complete", chaos::fault::stall, never));
-    ASSERT_TRUE(chaos::arm("svc.drain.post_pop", chaos::fault::stall, never));
-    const flock::stats_snapshot before = flock::stats();
-    const flock_service::histogram batch0 = svc.batch_histogram();
-    const flock_service::histogram depth0 = svc.depth_histogram();
-    std::vector<std::vector<completion<uint64_t>>> slots(kClients);
-    std::atomic<uint64_t> ins{0}, rem{0}, bad{0};
-    std::atomic<int> ready{0};
-    std::vector<std::thread> ts;
-    for (int t = 0; t < kClients; t++) {
-      slots[t] = std::vector<completion<uint64_t>>(kOps);
-      ts.emplace_back([&, t] {
-        flock_workload::rng64 rng(0x9e37 + 131 * round + t);
-        uint64_t my_ins = 0, my_rem = 0, my_bad = 0;
-        ready.fetch_add(1);
-        spin_until([&] { return ready.load() == kClients; });
-        for (int i = 0; i < kOps; i++) {
-          const uint64_t k = rng.next() % kKeys;
-          const uint64_t o = rng.next() % 10;
-          completion<uint64_t>& c = slots[t][i];
-          if (o < 4) {
-            svc.execute({op_kind::find, k, 0, &c});
-            if (c.ok && c.value != value_of(k)) my_bad++;
-          } else if (o < 7) {
-            svc.execute({op_kind::insert, k, value_of(k), &c});
-            my_ins += c.ok;
-          } else {
-            svc.execute({op_kind::remove, k, 0, &c});
-            my_rem += c.ok;
-          }
-          if (!c.ready()) my_bad++;
-        }
-        ins.fetch_add(my_ins);
-        rem.fetch_add(my_rem);
-        bad.fetch_add(my_bad);
-      });
-    }
-    for (auto& th : ts) th.join();
-    const flock::stats_snapshot after = flock::stats();
-    constexpr uint64_t kTotal = uint64_t{kClients} * kOps;
-    EXPECT_EQ(after.svc_batch_ops - before.svc_batch_ops, kTotal);
-    EXPECT_EQ(chaos::hits("svc.exec.pre_complete"), kTotal);
-    EXPECT_EQ(bad.load(), 0u);
-    for (const auto& v : slots)
-      for (const auto& c : v) ASSERT_TRUE(c.ready());
-    inserted += ins.load();
-    removed += rem.load();
-    EXPECT_EQ(m.size(), prefill + inserted - removed);
-    // Queued path: some pass popped a batch and either saw a queue behind
-    // it or popped more than one request. Inline path: some pass found
-    // its ring empty, so it ran only its caller's own request.
-    const flock_service::histogram batch1 = svc.batch_histogram();
-    const flock_service::histogram depth1 = svc.depth_histogram();
-    uint64_t deep = 0, multi = 0;
-    for (int b = 1; b < flock_service::histogram::kBuckets; b++)
-      deep += depth1.count(b) - depth0.count(b);
-    for (int b = 2; b < flock_service::histogram::kBuckets; b++)
-      multi += batch1.count(b) - batch0.count(b);
-    if (chaos::hits("svc.drain.post_pop") > 0 && (deep > 0 || multi > 0))
-      queued_seen = true;
-    if (depth1.count(0) > depth0.count(0)) inline_seen = true;
-  }
   chaos::reset();
-  EXPECT_TRUE(queued_seen);
-  EXPECT_TRUE(inline_seen);
+  chaos::arm_options never;
+  never.victim_only = true;
+  ASSERT_TRUE(chaos::arm("svc.exec.pre_complete", chaos::fault::stall, never));
+  ASSERT_TRUE(chaos::arm("svc.drain.post_pop", chaos::fault::stall, never));
+  const flock::stats_snapshot before = flock::stats();
+  std::vector<std::vector<completion<uint64_t>>> slots(kClients);
+  std::atomic<uint64_t> ins{0}, rem{0}, bad{0};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kClients; t++) {
+    slots[t] = std::vector<completion<uint64_t>>(kOps);
+    ts.emplace_back([&, t] {
+      flock_workload::rng64 rng(0x9e37 + t);
+      uint64_t my_ins = 0, my_rem = 0, my_bad = 0;
+      auto run = [&](const req_t& r) {
+        if (t >= kAsync) {
+          svc.execute(r);
+          return;
+        }
+        r.done->arm();
+        while (!svc.try_submit(r)) svc.drain(svc.ring_of(r.key));
+        while (!r.done->ready())
+          if (svc.drain(svc.ring_of(r.key)) == 0) std::this_thread::yield();
+      };
+      ready.fetch_add(1);
+      spin_until([&] { return ready.load() == kClients; });
+      for (int i = 0; i < kOps; i++) {
+        const uint64_t k = rng.next() % kKeys;
+        const uint64_t o = rng.next() % 10;
+        completion<uint64_t>& c = slots[t][i];
+        if (o < 4) {
+          run({op_kind::find, k, 0, &c});
+          if (c.ok && c.value != value_of(k)) my_bad++;
+        } else if (o < 7) {
+          run({op_kind::insert, k, value_of(k), &c});
+          my_ins += c.ok;
+        } else {
+          run({op_kind::remove, k, 0, &c});
+          my_rem += c.ok;
+        }
+        if (!c.ready()) my_bad++;
+      }
+      ins.fetch_add(my_ins);
+      rem.fetch_add(my_rem);
+      bad.fetch_add(my_bad);
+    });
+  }
+  for (auto& th : ts) th.join();
+  const flock::stats_snapshot after = flock::stats();
+  constexpr uint64_t kTotal = uint64_t{kClients} * kOps;
+  constexpr uint64_t kInline = uint64_t{kClients - kAsync} * kOps;
+  EXPECT_EQ(after.svc_batch_ops - before.svc_batch_ops, kTotal);
+  EXPECT_EQ(chaos::hits("svc.exec.pre_complete"), kTotal);
+  EXPECT_EQ(bad.load(), 0u);
+  for (const auto& v : slots)
+    for (const auto& c : v) ASSERT_TRUE(c.ready());
+  EXPECT_EQ(m.size(), prefill + ins.load() - rem.load());
+  // Both paths ran: every async op went through some drain, and the
+  // histograms hold exactly the drained batches (closed-loop ops are
+  // the remaining batches of 1).
+  const uint64_t drains = after.svc_batches - before.svc_batches - kInline;
+  EXPECT_GE(drains, 1u);
+  EXPECT_LE(drains, kTotal - kInline);
+  EXPECT_EQ(chaos::hits("svc.drain.post_pop"), drains);
+  EXPECT_EQ(total(svc.batch_histogram()), drains);
+  EXPECT_EQ(total(svc.depth_histogram()), drains);
+  chaos::reset();
   EXPECT_TRUE(m.check_invariants());
 }
 
@@ -652,12 +680,11 @@ TEST_P(ServiceChaos, ClientKilledAfterPushGetsServedAnyway) {
   EXPECT_TRUE(m.check_invariants());
 }
 
-// The inline fast path crosses the same completion window: a client
-// that became the combiner and ran its own op in place is killed before
-// publishing. It still holds its ring's combiner lock, so a request
-// queued behind it waits (drain cannot take the lock) rather than being
-// lost; on release the victim publishes its own result once, and the
-// next drain serves the queued request.
+// An inline execute() crosses the same completion window: a closed-loop
+// client that ran its own op is killed before publishing. It holds no
+// combiner lock, so a concurrent drain of the same ring proceeds and
+// serves a queued request; on release the victim publishes its own
+// result exactly once.
 TEST_P(ServiceChaos, InlineCombinerKilledBeforeCompletePublishesOnce) {
   map_t m(2);
   svc_t svc(m);
@@ -665,30 +692,32 @@ TEST_P(ServiceChaos, InlineCombinerKilledBeforeCompletePublishesOnce) {
   o.victim_only = true;
   ASSERT_TRUE(chaos::arm("svc.exec.pre_complete", chaos::fault::kill, o));
 
-  std::atomic<int> inserted{-1};
-  std::thread client([&svc, &inserted] {
+  completion<uint64_t> own;
+  std::thread client([&svc, &own] {
     chaos::victim_scope vs;
-    inserted.store(svc.insert(5, 50) ? 1 : 0);
+    svc.execute({op_kind::insert, 5, 50, &own});
   });
   spin_until([] { return chaos::parked() == 1; });
-  EXPECT_GE(chaos::hits("svc.exec.pre_complete"), 1u);
+  EXPECT_EQ(chaos::hits("svc.exec.pre_complete"), 1u);
   EXPECT_EQ(m.find(5), std::optional<uint64_t>(50));  // work done
-  EXPECT_EQ(inserted.load(), -1);                      // result unpublished
+  EXPECT_FALSE(own.ready());                           // result unpublished
 
   const std::size_t ri = svc.ring_of(5);
   completion<uint64_t> c;
   c.arm();
   ASSERT_TRUE(svc.try_submit({op_kind::find, 5, 0, &c}));
-  EXPECT_EQ(svc.drain(ri), 0u);  // the parked combiner still holds the lock
-  EXPECT_FALSE(c.ready());
-
-  chaos::release_killed();
-  client.join();
-  EXPECT_EQ(inserted.load(), 1);  // published once, as "inserted"
-  EXPECT_EQ(svc.drain(ri), 1u);
+  EXPECT_EQ(svc.drain(ri), 1u);  // not blocked by the parked client
   EXPECT_TRUE(c.ready());
   EXPECT_TRUE(c.ok);
   EXPECT_EQ(c.value, 50u);
+  EXPECT_FALSE(own.ready());  // the drain did not publish for the victim
+  EXPECT_EQ(chaos::hits("svc.exec.pre_complete"), 2u);
+
+  chaos::release_killed();
+  client.join();
+  EXPECT_TRUE(own.ready());
+  EXPECT_TRUE(own.ok);  // published once, as "inserted"
+  EXPECT_EQ(chaos::hits("svc.exec.pre_complete"), 2u);  // no second publish
   EXPECT_FALSE(svc.insert(5, 999));  // applied exactly once
   EXPECT_TRUE(m.check_invariants());
 }
