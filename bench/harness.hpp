@@ -210,7 +210,6 @@ class json_reporter {
                  "    \"chaos_alloc_fails\": %llu,\n"
                  "    \"svc_batches\": %llu,\n"
                  "    \"svc_batch_ops\": %llu,\n"
-                 "    \"svc_batch_max\": %llu,\n"
                  "    \"svc_ring_full\": %llu,\n"
                  "    \"svc_depth_hw\": %llu\n"
                  "  }\n}\n",
@@ -227,7 +226,6 @@ class json_reporter {
                  static_cast<unsigned long long>(s.chaos_alloc_fails),
                  static_cast<unsigned long long>(s.svc_batches),
                  static_cast<unsigned long long>(s.svc_batch_ops),
-                 static_cast<unsigned long long>(s.svc_batch_max),
                  static_cast<unsigned long long>(s.svc_ring_full),
                  static_cast<unsigned long long>(s.svc_depth_hw));
     std::fclose(f);

@@ -8,7 +8,7 @@
 // After the churn lifecycle, the same store is driven through the
 // serving front end (src/service/): FLOCK_SVC_CLIENTS closed-loop client
 // threads, each running its ops on its own thread through the service's
-// double-read façade (the request rings serve async submitters only).
+// double-read façade.
 //
 //   $ ./kv_store [threads] [millis-per-phase] [shards]
 #include <cstdio>

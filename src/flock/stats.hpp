@@ -24,20 +24,14 @@ namespace detail {
 // (hashtable.hpp), aggregated here. Monotonic, process-wide.
 inline std::atomic<uint64_t> g_resize_deferrals{0};
 
-// Service-tier counters (src/service/service.hpp): batch execution and
-// ring backpressure, one cell per dense thread id. Same single-writer
-// idiom as the runtime counters in thread_context — a cell is written
-// only by the thread holding its id, with plain adds — but kept in an
-// array of its own so the direct path's thread_context layout does not
-// change. Whole cache lines per cell: a combiner's bump never touches a
-// line another core writes. stats() sums the counts and takes the max of
-// the two high-water marks (never reset).
+// Service-tier op counter (src/service/service.hpp), one cell per dense
+// thread id. Same single-writer idiom as the runtime counters in
+// thread_context — a cell is written only by the thread holding its id,
+// with plain adds — but kept in an array of its own so the direct path's
+// thread_context layout does not change. Whole cache lines per cell: a
+// service call never touches a line another core writes.
 struct alignas(kCacheLine) svc_cell {
-  uint64_t batches = 0;    // batches executed (queued drains + inline ops)
-  uint64_t batch_ops = 0;  // ops executed via batches
-  uint64_t batch_max = 0;  // largest single batch
-  uint64_t ring_full = 0;  // try_push rejections
-  uint64_t depth_hw = 0;   // drain-time queue-depth high-water
+  uint64_t ops = 0;  // closed-loop service calls executed
 };
 inline constinit svc_cell g_svc_cells[kMaxThreads]{};
 
@@ -61,12 +55,14 @@ struct stats_snapshot {
   uint64_t chaos_kills = 0;          // injected kills (dead-holder parks)
   uint64_t chaos_alloc_fails = 0;    // injected allocation failures
   // Service-tier counters (src/service/service.hpp; zero when no service
-  // front end runs). mean batch size = svc_batch_ops / svc_batches.
-  uint64_t svc_batches = 0;          // batches executed (queued + inline)
-  uint64_t svc_batch_ops = 0;        // requests executed through batches
-  uint64_t svc_batch_max = 0;        // largest single batch (high-water)
-  uint64_t svc_ring_full = 0;        // try_push backpressure rejections
-  uint64_t svc_depth_hw = 0;         // drain-time queue-depth high-water
+  // front end runs). The service has no rings or combining: each call is
+  // a batch of 1, and the two ring fields always read 0. All four stay
+  // because perfbench/perfbench.cpp (frozen with the repo benchmark)
+  // reads them for its service.* ledger entries.
+  uint64_t svc_batches = 0;          // service calls (one batch each)
+  uint64_t svc_batch_ops = 0;        // service calls executed
+  uint64_t svc_ring_full = 0;        // always 0: no request rings
+  uint64_t svc_depth_hw = 0;         // always 0: no request rings
 };
 
 /// Aggregate counters across all threads (monotonic since process start).
@@ -86,13 +82,9 @@ inline stats_snapshot stats() {
     s.descriptors_reused += c.stat_reused;
     s.helps_avoided += c.stat_helps_avoided;
     s.backoff_spins += c.stat_backoff_spins;
-    const detail::svc_cell& v = detail::g_svc_cells[i];
-    s.svc_batches += v.batches;
-    s.svc_batch_ops += v.batch_ops;
-    s.svc_ring_full += v.ring_full;
-    if (v.batch_max > s.svc_batch_max) s.svc_batch_max = v.batch_max;
-    if (v.depth_hw > s.svc_depth_hw) s.svc_depth_hw = v.depth_hw;
+    s.svc_batch_ops += detail::g_svc_cells[i].ops;
   }
+  s.svc_batches = s.svc_batch_ops;
   s.alloc_failures = alloc_failures();
   // mo: relaxed — monotonic monitoring counter, same approximate-snapshot
   // contract as the per-thread cells above.
