@@ -74,13 +74,6 @@ void BM_mutable_store_logged(benchmark::State& state) {
 }
 BENCHMARK(BM_mutable_store_logged);
 
-void BM_mutable_dw_store(benchmark::State& state) {
-  flock::mutable_dw<uint64_t> m(0);
-  uint64_t i = 0;
-  for (auto _ : state) m.store(i++);
-}
-BENCHMARK(BM_mutable_dw_store);
-
 // --- lock acquisition cycle -----------------------------------------------
 
 void BM_trylock_cycle_lockfree(benchmark::State& state) {

@@ -47,7 +47,7 @@ struct descriptor {
     // block, so it must see the block's initialized contents before
     // freeing it.
     // mo: acquire (both loads) — pairs with the acq_rel append CAS in
-    // log.hpp's log_bump.
+    // log.hpp's log_extend.
     log_block* b = head.next.load(std::memory_order_acquire);
     while (b != nullptr) {
       log_block* nxt = b->next.load(std::memory_order_acquire);  // mo: ditto

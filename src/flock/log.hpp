@@ -2,15 +2,25 @@
 //
 // Every thunk (descriptor) carries a log shared by all processes that run
 // it. Each loggable event — a load of a mutable location, an allocation, a
-// retirement, a committed boolean — occupies one 128-bit slot. A run
+// retirement, a committed boolean — occupies one 64-bit slot. A run
 // commits its candidate value with a CAS(empty → value) and then adopts
 // whatever the slot holds, so all runs of the thunk observe identical
 // values and stay synchronized (same branches, same log positions).
 //
+// Slot encoding (empty = 0). Every run commits the same kind of payload
+// at a given position, so the call site alone says how to decode a slot:
+//  * packed compact-mutable words (lock words included) are committed
+//    as-is: their tag is never 0 (mutables start at tag 1 and next_tag
+//    never returns 0), so the word itself is never empty;
+//  * every other payload (bools, pointers, retire flags, write_once
+//    values, user commit_value) must be < 2^63 and carries bit 63 as a
+//    "present" bit, so a committed 0 never collides with empty.
+// A 64-bit slot CAS compiles to an inline `lock cmpxchg`; gcc turns a
+// 16-byte std::atomic into out-of-line libatomic calls, even with -mcx16.
+//
 // Differences from the paper's pseudocode, both strengthenings:
-//  * committed entries always carry a "present" bit, so the empty sentinel
-//    can never collide with a legitimate value (Alg. 2 instead assumes
-//    `empty` is never stored by users);
+//  * the empty sentinel can never collide with a legitimate value (Alg. 2
+//    instead assumes `empty` is never stored by users);
 //  * commits use compare-and-compare-and-swap (§6 "Avoiding CASes"):
 //    read the slot first and skip the CAS when it is already full.
 //
@@ -22,7 +32,9 @@
 // load per call).
 //
 // Logs grow in blocks of kLogBlockEntries entries (§6 "Arbitrary Length
-// Logs"); extending the chain is itself idempotent: the first run to
+// Logs"). A block is linked only when a commit finds the current one
+// full, so a run that commits exactly kLogBlockEntries slots allocates
+// nothing. Extending the chain is itself idempotent: the first run to
 // overflow CASes a fresh block into the next pointer, losers free theirs.
 #pragma once
 
@@ -38,28 +50,17 @@
 
 namespace flock {
 
-using u128 = unsigned __int128;
-
-inline constexpr u128 kLogPresent = static_cast<u128>(1) << 127;
-inline constexpr u128 kLogEmpty = 0;
+inline constexpr uint64_t kLogEmpty = 0;
+/// Present bit of the non-packed payloads (see the slot encoding above).
+inline constexpr uint64_t kLogPresent = uint64_t{1} << 63;
 
 struct log_entry {
-  std::atomic<u128> v{kLogEmpty};
+  std::atomic<uint64_t> v{kLogEmpty};
 };
 
 struct log_block {
   log_entry entries[kLogBlockEntries];
   std::atomic<log_block*> next{nullptr};
-
-  /// Reset for pool reuse. Only legal when no other thread can access the
-  /// block (e.g. a never-helped descriptor, see lock.hpp).
-  void reset() {
-    // mo: relaxed (both) — reuse precondition above means no concurrent
-    // access; re-publication to other threads goes through the pool /
-    // descriptor-install release edges.
-    for (auto& e : entries) e.v.store(kLogEmpty, std::memory_order_relaxed);
-    next.store(nullptr, std::memory_order_relaxed);  // mo: ditto
-  }
 };
 
 /// Thread-local cursor into the log of the thunk the thread is currently
@@ -82,18 +83,19 @@ inline uint64_t& tls_commit_count() noexcept {
 
 namespace detail {
 
-/// Move the cursor to the next slot, growing the chain idempotently.
-inline void log_bump(thread_context* c, log_cursor& cur) {
-  if (++cur.pos < kLogBlockEntries) return;
+/// Step the cursor into the next block, linking one idempotently when
+/// no run has yet. Kept out of line: most thunks never overflow.
+[[gnu::noinline]] inline void log_extend(thread_context* c,
+                                         log_cursor& cur) {
   // mo: acquire — pairs with the acq_rel append CAS below: a helper that
-  // sees another run's block must also see its reset() contents.
+  // sees another run's block must also see its initialized contents.
   log_block* nxt = cur.block->next.load(std::memory_order_acquire);
   if (nxt == nullptr) {
     log_block* mine = pool_new_ctx<log_block>(c);
     log_block* expected = nullptr;
-    // mo: acq_rel — release publishes the freshly reset block to other
-    // runs of this thunk; acquire on failure so `expected` (the winner's
-    // block) is safe to walk into.
+    // mo: acq_rel — release publishes the freshly constructed block to
+    // other runs of this thunk; acquire on failure so `expected` (the
+    // winner's block) is safe to walk into.
     if (cur.block->next.compare_exchange_strong(expected, mine,
                                                 std::memory_order_acq_rel)) {
       nxt = mine;
@@ -106,48 +108,59 @@ inline void log_bump(thread_context* c, log_cursor& cur) {
   cur.pos = 0;
 }
 
-/// commitValue (Alg. 2 line 31) core: ccas choice is a template constant,
-/// the context is supplied by the caller. The payload must not use bit
-/// 127 (the present bit). Returns the committed payload and whether the
-/// calling run was first to commit.
+/// commitValue (Alg. 2 line 31) core on a raw slot word: ccas choice is a
+/// template constant, the context is supplied by the caller. `desired`
+/// must be non-empty. Returns the word the slot holds afterwards and
+/// whether the calling run was first to commit.
 template <bool Ccas>
-inline std::pair<u128, bool> commit_raw_ctx(thread_context* c, u128 payload) {
+inline std::pair<uint64_t, bool> commit_word_ctx(thread_context* c,
+                                                 uint64_t desired) {
+  assert(desired != kLogEmpty);
   log_cursor& cur = c->log;
-  if (cur.block == nullptr) return {payload, true};  // outside any lock
-  log_entry& slot = cur.block->entries[cur.pos];
-  log_bump(c, cur);
+  if (cur.block == nullptr) return {desired, true};  // outside any lock
+  if (cur.pos == kLogBlockEntries) [[unlikely]]
+    log_extend(c, cur);
+  log_entry& slot = cur.block->entries[cur.pos++];
   ++c->commit_count;
 
-  const u128 desired = payload | kLogPresent;
   if constexpr (Ccas) {
     // Compare-and-compare-and-swap (§6): skip the CAS when already full.
     // mo: acquire — adopting a value another run committed must also
     // acquire whatever that run published before committing it (e.g. the
     // object a committed pointer refers to).
-    u128 seen = slot.v.load(std::memory_order_acquire);
-    if (seen != kLogEmpty) return {seen & ~kLogPresent, false};
+    uint64_t seen = slot.v.load(std::memory_order_acquire);
+    if (seen != kLogEmpty) return {seen, false};
   }
-  u128 expected = kLogEmpty;
+  uint64_t expected = kLogEmpty;
   // mo: acq_rel — release so the committed payload's referent is visible
   // to runs that adopt it; acquire on failure for the same adoption
   // argument as the ccas pre-check above.
   if (slot.v.compare_exchange_strong(expected, desired,
                                      std::memory_order_acq_rel)) {
-    return {payload, true};
+    return {desired, true};
   }
-  return {expected & ~kLogPresent, false};
+  return {expected, false};
+}
+
+/// Commit a packed compact-mutable word as-is (its tag is never 0).
+template <bool Ccas>
+inline uint64_t commit_packed_ctx(thread_context* c, uint64_t packed) {
+  assert(packed != kLogEmpty && "packed words carry a tag >= 1");
+  return commit_word_ctx<Ccas>(c, packed).first;
+}
+
+/// Commit a payload < 2^63 under the present bit.
+template <bool Ccas>
+inline std::pair<uint64_t, bool> commit64_first_ctx(thread_context* c,
+                                                    uint64_t v) {
+  assert(v < kLogPresent && "log payloads must fit in 63 bits");
+  auto [w, first] = commit_word_ctx<Ccas>(c, v | kLogPresent);
+  return {w & ~kLogPresent, first};
 }
 
 template <bool Ccas>
 inline uint64_t commit64_ctx(thread_context* c, uint64_t v) {
-  return static_cast<uint64_t>(commit_raw_ctx<Ccas>(c, v).first);
-}
-
-template <bool Ccas>
-inline std::pair<uint64_t, bool> commit64_first_ctx(thread_context* c,
-                                                    uint64_t v) {
-  auto [cv, first] = commit_raw_ctx<Ccas>(c, v);
-  return {static_cast<uint64_t>(cv), first};
+  return commit64_first_ctx<Ccas>(c, v).first;
 }
 
 template <bool Ccas>
@@ -157,28 +170,21 @@ inline bool commit_bool_ctx(thread_context* c, bool b) {
 
 }  // namespace detail
 
-/// commitValue on a raw 128-bit payload (public spelling; one context
-/// fetch and one ccas-flag load per call).
-inline std::pair<u128, bool> commit_raw(u128 payload) {
-  detail::thread_context* c = detail::my_ctx();
-  return use_ccas() ? detail::commit_raw_ctx<true>(c, payload)
-                    : detail::commit_raw_ctx<false>(c, payload);
-}
-
-/// Convenience: commit a 64-bit value.
-inline uint64_t commit64(uint64_t v) {
-  return static_cast<uint64_t>(commit_raw(v).first);
-}
-
+/// commitValue on a payload < 2^63 (public spelling; one context fetch
+/// and one ccas-flag load per call). Returns the committed payload and
+/// whether the calling run was first to commit.
 inline std::pair<uint64_t, bool> commit64_first(uint64_t v) {
-  auto [c, first] = commit_raw(v);
-  return {static_cast<uint64_t>(c), first};
+  detail::thread_context* c = detail::my_ctx();
+  return use_ccas() ? detail::commit64_first_ctx<true>(c, v)
+                    : detail::commit64_first_ctx<false>(c, v);
 }
+
+inline uint64_t commit64(uint64_t v) { return commit64_first(v).first; }
 
 inline bool commit_bool(bool b) { return commit64(b ? 1 : 0) != 0; }
 
-/// Users can commit arbitrary nondeterministic results (paper §3.2: "The
-/// commitValue can also be used directly by the user").
+/// Users can commit arbitrary nondeterministic results below 2^63 (paper
+/// §3.2: "The commitValue can also be used directly by the user").
 inline uint64_t commit_value(uint64_t v) { return commit64(v); }
 
 /// Idempotent allocation (Alg. 2 line 51): every run constructs its own

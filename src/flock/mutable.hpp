@@ -1,21 +1,17 @@
 // mutable.hpp — idempotent shared mutable locations (paper §3.2, Alg. 2,
 // and the §6 ABA optimizations).
 //
-// Three flavors:
+// Two flavors:
 //  * mutable_<T>    — "compact": one 64-bit word = 48-bit value + 16-bit
 //                     tag. This is what the paper's experiments use ("All
 //                     the experiments in Section 8 use this version since
-//                     the mutables are no larger than a pointer").
-//  * mutable_dw<T>  — fully general: (64-bit counter, 64-bit value) pair
-//                     updated with a 16-byte CAS; loads touch only the two
-//                     64-bit halves (§6 first optimization: "a load only
-//                     needs to log the value... a store does not need to
-//                     read the counter and value atomically").
+//                     the mutables are no larger than a pointer"), and the
+//                     packed word fills exactly one log slot.
 //  * write_once<T>  — see write_once.hpp.
 //
 // Semantics (Alg. 2): load commits the observed value to the enclosing
 // thunk's log so every run of the thunk sees the same value; store = load
-// + CAS whose expected value is the logged one (tag/counter makes the
+// + CAS whose expected value is the logged one (the tag makes the
 // location ABA-free, so all but the first CAS of a given thunk-store
 // fail); cam is a CAS that externalizes no result. Outside of any thunk,
 // commits pass through and these degrade to ordinary atomics.
@@ -32,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
 
 #include "chaos/faultpoint.hpp"
 #include "config.hpp"
@@ -67,8 +62,8 @@ class mutable_ {
     // initialization (published by the seq_cst installing CAS).
     uint64_t p = word_.load(std::memory_order_acquire);
     if (c->log.block != nullptr) {
-      p = use_ccas() ? detail::commit64_ctx<true>(c, p)
-                     : detail::commit64_ctx<false>(c, p);
+      p = use_ccas() ? detail::commit_packed_ctx<true>(c, p)
+                     : detail::commit_packed_ctx<false>(c, p);
     }
     return from_bits48<T>(val_of(p));
   }
@@ -121,7 +116,7 @@ class mutable_ {
     // mo: acquire — same pairing as load(): the packed value may be a
     // pointer whose referent must be visible to the caller.
     uint64_t p = word_.load(std::memory_order_acquire);
-    if (c->log.block != nullptr) p = detail::commit64_ctx<Ccas>(c, p);
+    if (c->log.block != nullptr) p = detail::commit_packed_ctx<Ccas>(c, p);
     return p;
   }
 
@@ -211,132 +206,6 @@ class mutable_ {
   }
 
   std::atomic<uint64_t> word_;
-};
-
-// ---------------------------------------------------------------------------
-// Double-word mutable: 64-bit monotonic counter + full 64-bit value.
-// ---------------------------------------------------------------------------
-template <class T>
-class alignas(16) mutable_dw {
-  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8);
-
-  struct rep {
-    uint64_t val;
-    uint64_t cnt;
-  };
-
- public:
-  mutable_dw() : rep_{0, 1} {}
-  explicit mutable_dw(T v) : rep_{to_bits(v), 1} {}
-  mutable_dw(const mutable_dw&) = delete;
-  mutable_dw& operator=(const mutable_dw&) = delete;
-
-  void init(T v) {
-    rep_.val = to_bits(v);
-    rep_.cnt = 1;
-  }
-
-  T load() const {
-    detail::thread_context* c = detail::my_ctx();
-    uint64_t v = use_ccas() ? load_pair_ctx<true>(c).val
-                            : load_pair_ctx<false>(c).val;
-    return from_bits(v);
-  }
-
-  void store(T v) {
-    detail::thread_context* c = detail::my_ctx();
-    if (use_ccas())
-      store_ctx<true>(c, v);
-    else
-      store_ctx<false>(c, v);
-  }
-
-  void cam(T expected, T desired) {
-    detail::thread_context* c = detail::my_ctx();
-    if (use_ccas())
-      cam_ctx<true>(c, expected, desired);
-    else
-      cam_ctx<false>(c, expected, desired);
-  }
-
-  mutable_dw& operator=(T v) {
-    store(v);
-    return *this;
-  }
-
-  T read_raw() const {
-    // mo: acquire — value half only; carries a loaded pointer's referent
-    // like the compact flavor's read_raw.
-    return from_bits(__atomic_load_n(&rep_.val, __ATOMIC_ACQUIRE));
-  }
-
- private:
-  template <bool Ccas>
-  void store_ctx(detail::thread_context* c, T v) {
-    rep pair = load_pair_ctx<Ccas>(c);
-    rep desired{to_bits(v), pair.cnt + 1};
-    cas_pair<Ccas>(pair, desired);
-  }
-
-  template <bool Ccas>
-  void cam_ctx(detail::thread_context* c, T expected, T desired) {
-    rep pair = load_pair_ctx<Ccas>(c);
-    if (pair.val != to_bits(expected)) return;
-    cas_pair<Ccas>(pair, rep{to_bits(desired), pair.cnt + 1});
-  }
-
-  static uint64_t to_bits(T v) {
-    uint64_t b = 0;
-    __builtin_memcpy(&b, &v, sizeof(T));
-    return b;
-  }
-  static T from_bits(uint64_t b) {
-    T v{};
-    __builtin_memcpy(&v, &b, sizeof(T));
-    return v;
-  }
-
-  /// §6 first optimization: no 16-byte atomic load. Read the counter, then
-  /// the value; the pair is logged so all runs of the thunk agree, and a
-  /// torn read simply makes the subsequent CAS fail (which is only
-  /// possible when another location's lock raced a pure reader — stores
-  /// to this location cannot race by assumption).
-  template <bool Ccas>
-  rep load_pair_ctx(detail::thread_context* c) const {
-    // Counter first, then value: the acquire on cnt keeps the value read
-    // no older than the counter it is paired with, and the value's
-    // acquire carries its referent (see load()).
-    // mo: acquire (both halves of the §6 unpaired read).
-    uint64_t cnt = __atomic_load_n(&rep_.cnt, __ATOMIC_ACQUIRE);
-    uint64_t v = __atomic_load_n(&rep_.val, __ATOMIC_ACQUIRE);
-    if (c->log.block != nullptr) {
-      // Counter fits in 63 bits; bit 127 stays free for the present bit.
-      u128 committed =
-          detail::commit_raw_ctx<Ccas>(c, (static_cast<u128>(cnt) << 64) | v)
-              .first;
-      cnt = static_cast<uint64_t>(committed >> 64);
-      v = static_cast<uint64_t>(committed);
-    }
-    return rep{v, cnt};
-  }
-
-  template <bool Ccas>
-  bool cas_pair(rep expected, rep desired) {
-    if constexpr (Ccas) {
-      // mo: acquire — ccas pre-check stands in for the CAS failure path
-      // (same argument as the compact flavor's cas_packed_ctx).
-      uint64_t cnt = __atomic_load_n(&rep_.cnt, __ATOMIC_ACQUIRE);
-      if (cnt != expected.cnt) return false;
-    }
-    // mo: acq_rel / acquire-on-failure — release publishes the stored
-    // value's referent to load_pair_ctx's acquire reads; mutable_dw words
-    // are not lock words, so the seq_cst hand-off argument does not apply.
-    return __atomic_compare_exchange(&rep_, &expected, &desired,
-                                     /*weak=*/false, __ATOMIC_ACQ_REL,
-                                     __ATOMIC_ACQUIRE);
-  }
-
-  mutable rep rep_;
 };
 
 }  // namespace flock

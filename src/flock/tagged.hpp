@@ -15,8 +15,13 @@
 // tag additionally wraps all the way around (2^16 stores) while the
 // announcing helper sleeps *and* the packed values collide. The paper's
 // own scheme ("the full description is beyond the scope of this paper")
-// accepts equivalent engineering assumptions; the fully sound
-// mutable_dw<T> (64-bit counter) is available where this is unacceptable.
+// accepts equivalent engineering assumptions. This is the library's only
+// ABA story: every mutable is compact. A mutable with a wider counter
+// would not fit one 64-bit log slot and would need a two-slot log
+// encoding of its own.
+//
+// Tags are never 0: mutables start at tag 1 and next_tag skips 0 on
+// wrap, so a packed word is never 0 — the log's "empty" slot (log.hpp).
 #pragma once
 
 #include <atomic>
@@ -89,6 +94,7 @@ class announce_guard {
 
 /// Next tag for `loc`, given the current packed word. Fast path: +1. On
 /// wrap, scan announcements and skip tags still held for this location.
+/// Never returns 0 (see the header).
 inline uint64_t next_tag(const void* loc, uint64_t cur_packed) {
   uint64_t t = tag_of(cur_packed) + 1;
   if (t < kTagLimit) [[likely]]
@@ -130,7 +136,7 @@ uint64_t to_bits48(T v) {
   uint64_t b = 0;
   std::memcpy(&b, &v, sizeof(T));
   assert((b & ~kValMask) == 0 &&
-         "value does not fit in 48 bits; use mutable_dw<T>");
+         "value does not fit in 48 bits");
   return b;
 }
 

@@ -39,6 +39,7 @@ class write_once {
     // the updated value also sees everything published before it (e.g.
     // the bucket copies a forwarded flag covers).
     uint64_t b = word_.load(std::memory_order_acquire);
+    // b < 2^48 (to_bits48), so it takes the log's present-bit encoding.
     if (c->log.block != nullptr) {
       b = use_ccas() ? detail::commit64_ctx<true>(c, b)
                      : detail::commit64_ctx<false>(c, b);

@@ -89,16 +89,56 @@ TEST(Log, GrowsAcrossBlocks) {
     EXPECT_EQ(flock::commit64(12345), static_cast<uint64_t>(i));
 }
 
-TEST(Log, CommitRaw128) {
+// A block is one cache line: kLogBlockEntries one-word slots + next.
+static_assert(sizeof(flock::log_block) == 64);
+
+TEST(Log, PackedWordWithTopBitSetCommitsUnchanged) {
+  // Packed mutable words are committed as-is, with no present bit, so a
+  // tag >= 0x8000 (bit 63 set) must survive the commit and a replay.
+  flock::mutable_<uint64_t> m(0);
+  while (flock::tag_of(m.read_raw_packed()) < 0x8000) m.store(7);
+  const uint64_t packed = m.read_raw_packed();
+  ASSERT_NE(packed & (uint64_t{1} << 63), 0u);
   scoped_log lg;
-  flock::u128 big = (static_cast<flock::u128>(0xABCDEF) << 64) | 0x123456;
-  auto [v, first] = flock::commit_raw(big);
-  EXPECT_TRUE(first);
-  EXPECT_TRUE(v == big);
+  EXPECT_EQ(m.load_packed(), packed);
+  flock::tls_log() = {};
+  m.store(8);  // the location moves on; a replay must not see it
   flock::tls_log() = {lg.head, 0};
-  auto [v2, first2] = flock::commit_raw(flock::u128{1});
-  EXPECT_FALSE(first2);
-  EXPECT_TRUE(v2 == big);
+  EXPECT_EQ(m.load_packed(), packed);
+  EXPECT_EQ(m.load(), 8u);  // the next position logs afresh
+}
+
+TEST(Log, SmallPayloadsRoundTrip) {
+  const uint64_t payloads[] = {0, 1, (uint64_t{1} << 63) - 1};
+  for (uint64_t v : payloads) {
+    EXPECT_EQ(flock::commit64(v), v);  // pass-through outside a thunk
+    scoped_log lg;
+    auto [got, first] = flock::commit64_first(v);
+    EXPECT_EQ(got, v);
+    EXPECT_TRUE(first);
+    flock::tls_log() = {lg.head, 0};
+    auto [again, first2] = flock::commit64_first(v == 1 ? 2 : 1);
+    EXPECT_EQ(again, v);
+    EXPECT_FALSE(first2);
+  }
+}
+
+TEST(Log, BlockLinkedOnlyWhenACommitOverflows) {
+  scoped_log lg;
+  for (int i = 0; i < flock::kLogBlockEntries; i++)
+    flock::commit64(static_cast<uint64_t>(i));
+  EXPECT_EQ(lg.head->next.load(), nullptr);  // exactly full: no block yet
+  flock::commit64(100);
+  flock::log_block* second = lg.head->next.load();
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->next.load(), nullptr);
+  // A replay crosses the boundary into the same block and agrees.
+  flock::tls_log() = {lg.head, 0};
+  for (int i = 0; i < flock::kLogBlockEntries; i++)
+    EXPECT_EQ(flock::commit64(12345), static_cast<uint64_t>(i));
+  EXPECT_EQ(flock::commit64(12345), 100u);
+  EXPECT_EQ(lg.head->next.load(), second);
+  EXPECT_EQ(second->next.load(), nullptr);
 }
 
 // Many threads replay the same log concurrently; all must agree on every

@@ -91,7 +91,7 @@ TEST_P(ServiceTest, ClosedLoopOpsRunInline) {
   EXPECT_TRUE(m.check_invariants());
 }
 
-TEST_P(ServiceTest, CountersAndHistogramsAccountSingleThreaded) {
+TEST_P(ServiceTest, CountersAccountSingleThreaded) {
   const flock::stats_snapshot before = flock::stats();
   map_t m(2);
   svc_t svc(m);

@@ -112,4 +112,17 @@ TEST(Tagged, CompactMutableSurvivesTagWrap) {
   EXPECT_LT(tag, flock::kTagLimit);
 }
 
+// The log stores packed words as-is and reads 0 as an empty slot, so no
+// store path may produce tag 0, even across wrap-around.
+TEST(Tagged, TagWrapNeverProducesTagZero) {
+  flock::mutable_<uint64_t> m(0);
+  for (uint64_t i = 1; i <= 2 * flock::kTagLimit + 2; i++) {
+    if (i % 2 == 0)
+      m.store(0);
+    else
+      m.store_raw(0);  // the blocking-mode store bumps the tag too
+    ASSERT_NE(flock::tag_of(m.read_raw_packed()), 0u) << "store " << i;
+  }
+}
+
 }  // namespace
