@@ -1,7 +1,7 @@
 // Figure 5 (panels a-h) — binary trees under a wide range of workloads:
 // our leaftree in blocking and lock-free mode against the lock-free
 // CAS-based baselines (Natarajan, Ellen). Bronson/Drachsler/Chromatic are
-// external SetBench codebases; per DESIGN.md §5 their blocking-baseline
+// external SetBench codebases; per ARCHITECTURE.md §5 their blocking-baseline
 // role is played by the blocking-mode structures.
 //
 // Paper shapes to look for:

@@ -1,6 +1,6 @@
 // Figure 6 — other set datatypes: arttree, leaftreap, hashtable, abtree,
 // each in blocking and lock-free mode, plus srivastava_abtree
-// (substituted per DESIGN.md §5 by our abtree under strict blocking
+// (substituted per ARCHITECTURE.md §5 by our abtree under strict blocking
 // locks, the same lock class that codebase uses).
 //
 // Paper shapes: lock-free ~= blocking at full subscription (overhead

@@ -20,7 +20,7 @@
 //    node, rebuild (skipping entries whose child slot was cleared), swap
 //    the parent slot, retire the old node.
 //
-// Substitutions (DESIGN.md §5): no path compression — lazy expansion
+// Substitutions (ARCHITECTURE.md §2): no path compression — lazy expansion
 // bounds depth the same way for the benchmark's sparsified (hashed) keys;
 // and no node shrinking on removal (cleared slots are tombstones reused
 // by reinsertions of the same byte; standard in concurrent ART variants).

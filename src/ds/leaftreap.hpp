@@ -8,9 +8,9 @@
 // pairs); point updates copy-on-write the leaf and swap one parent slot
 // under one lock; a full leaf splits into two around a median separator.
 //
-// Substitution (DESIGN.md §5): separator placement uses median splits —
-// balanced in expectation under the benchmarks' random/hashed keys —
-// instead of treap priorities with rotations.
+// Substitution (ARCHITECTURE.md §2): separator placement uses median
+// splits — balanced in expectation under the benchmarks' random/hashed
+// keys — instead of treap priorities with rotations.
 #pragma once
 
 #include <algorithm>

@@ -59,22 +59,6 @@ class mode_guard {
   bool prev_;
 };
 
-// Compare-and-compare-and-swap toggle (paper §6 "Avoiding CASes").
-// On by default; the micro bench flips it off to measure the ablation.
-inline std::atomic<bool>& ccas_flag() noexcept {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-inline void set_ccas(bool b) noexcept {
-  // mo: relaxed — quiescent configuration knob, same contract as
-  // set_blocking above.
-  ccas_flag().store(b, std::memory_order_relaxed);
-}
-inline bool use_ccas() noexcept {
-  // mo: relaxed — see set_ccas.
-  return ccas_flag().load(std::memory_order_relaxed);
-}
-
 // --- contended-path backoff tunables (backoff.hpp / lock.hpp) --------------
 //
 // One randomized-exponential-backoff *round* pauses between min_spins and

@@ -80,10 +80,10 @@ struct descriptor {
 namespace detail {
 
 /// Idempotent descriptor creation (Alg. 3 createDescriptor) with the
-/// caller's context and compile-time ccas: every run of the enclosing
-/// thunk builds a candidate; the first to commit wins and losers free
-/// theirs (they were never published).
-template <bool Ccas, class F>
+/// caller's context: every run of the enclosing thunk builds a candidate;
+/// the first to commit wins and losers free theirs (they were never
+/// published).
+template <class F>
 descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   c->stat_created++;
   descriptor* mine = pool_new_ctx<descriptor>(c);
@@ -99,7 +99,7 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
   int64_t e = c->announced.load(std::memory_order_relaxed);
   mine->epoch = e >= 0 ? e : epoch_manager::instance().current_epoch();
   auto [committed, first] =
-      commit64_first_ctx<Ccas>(c, reinterpret_cast<uint64_t>(mine));
+      commit64_first_ctx(c, reinterpret_cast<uint64_t>(mine));
   if (first) return mine;
   pool_delete_ctx(c, mine);
   return reinterpret_cast<descriptor*>(committed);
@@ -107,13 +107,10 @@ descriptor* create_descriptor_ctx(thread_context* c, F&& f) {
 
 }  // namespace detail
 
-/// Public spelling (one context fetch, one ccas-flag load).
+/// Public spelling (one context fetch).
 template <class F>
 descriptor* create_descriptor(F&& f) {
-  detail::thread_context* c = detail::my_ctx();
-  return use_ccas()
-             ? detail::create_descriptor_ctx<true>(c, std::forward<F>(f))
-             : detail::create_descriptor_ctx<false>(c, std::forward<F>(f));
+  return detail::create_descriptor_ctx(detail::my_ctx(), std::forward<F>(f));
 }
 
 }  // namespace flock

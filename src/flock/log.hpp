@@ -24,12 +24,10 @@
 //  * commits use compare-and-compare-and-swap (§6 "Avoiding CASes"):
 //    read the slot first and skip the CAS when it is already full.
 //
-// Hot-path structure: the commit core is templated on the ccas choice and
-// takes the caller's thread context, so the lock machinery (which
-// dispatches on the mode once per acquisition, see lock.hpp) performs no
-// TLS lookups and no shared-flag loads inside its loops. The public
-// commit_* spellings keep the old behavior (one context fetch, one flag
-// load per call).
+// Hot-path structure: the commit core takes the caller's thread context,
+// so the lock machinery (which dispatches on the mode once per
+// acquisition, see lock.hpp) performs no TLS lookups inside its loops.
+// The public commit_* spellings fetch the context once per call.
 //
 // Logs grow in blocks of kLogBlockEntries entries (§6 "Arbitrary Length
 // Logs"). A block is linked only when a commit finds the current one
@@ -108,11 +106,10 @@ namespace detail {
   cur.pos = 0;
 }
 
-/// commitValue (Alg. 2 line 31) core on a raw slot word: ccas choice is a
-/// template constant, the context is supplied by the caller. `desired`
-/// must be non-empty. Returns the word the slot holds afterwards and
-/// whether the calling run was first to commit.
-template <bool Ccas>
+/// commitValue (Alg. 2 line 31) core on a raw slot word, with the
+/// context supplied by the caller. `desired` must be non-empty. Returns
+/// the word the slot holds afterwards and whether the calling run was
+/// first to commit.
 inline std::pair<uint64_t, bool> commit_word_ctx(thread_context* c,
                                                  uint64_t desired) {
   assert(desired != kLogEmpty);
@@ -123,14 +120,12 @@ inline std::pair<uint64_t, bool> commit_word_ctx(thread_context* c,
   log_entry& slot = cur.block->entries[cur.pos++];
   ++c->commit_count;
 
-  if constexpr (Ccas) {
-    // Compare-and-compare-and-swap (§6): skip the CAS when already full.
-    // mo: acquire — adopting a value another run committed must also
-    // acquire whatever that run published before committing it (e.g. the
-    // object a committed pointer refers to).
-    uint64_t seen = slot.v.load(std::memory_order_acquire);
-    if (seen != kLogEmpty) return {seen, false};
-  }
+  // Compare-and-compare-and-swap (§6): skip the CAS when already full.
+  // mo: acquire — adopting a value another run committed must also
+  // acquire whatever that run published before committing it (e.g. the
+  // object a committed pointer refers to).
+  uint64_t seen = slot.v.load(std::memory_order_acquire);
+  if (seen != kLogEmpty) return {seen, false};
   uint64_t expected = kLogEmpty;
   // mo: acq_rel — release so the committed payload's referent is visible
   // to runs that adopt it; acquire on failure for the same adoption
@@ -143,40 +138,34 @@ inline std::pair<uint64_t, bool> commit_word_ctx(thread_context* c,
 }
 
 /// Commit a packed compact-mutable word as-is (its tag is never 0).
-template <bool Ccas>
 inline uint64_t commit_packed_ctx(thread_context* c, uint64_t packed) {
   assert(packed != kLogEmpty && "packed words carry a tag >= 1");
-  return commit_word_ctx<Ccas>(c, packed).first;
+  return commit_word_ctx(c, packed).first;
 }
 
 /// Commit a payload < 2^63 under the present bit.
-template <bool Ccas>
 inline std::pair<uint64_t, bool> commit64_first_ctx(thread_context* c,
                                                     uint64_t v) {
   assert(v < kLogPresent && "log payloads must fit in 63 bits");
-  auto [w, first] = commit_word_ctx<Ccas>(c, v | kLogPresent);
+  auto [w, first] = commit_word_ctx(c, v | kLogPresent);
   return {w & ~kLogPresent, first};
 }
 
-template <bool Ccas>
 inline uint64_t commit64_ctx(thread_context* c, uint64_t v) {
-  return commit64_first_ctx<Ccas>(c, v).first;
+  return commit64_first_ctx(c, v).first;
 }
 
-template <bool Ccas>
 inline bool commit_bool_ctx(thread_context* c, bool b) {
-  return commit64_ctx<Ccas>(c, b ? 1 : 0) != 0;
+  return commit64_ctx(c, b ? 1 : 0) != 0;
 }
 
 }  // namespace detail
 
 /// commitValue on a payload < 2^63 (public spelling; one context fetch
-/// and one ccas-flag load per call). Returns the committed payload and
-/// whether the calling run was first to commit.
+/// per call). Returns the committed payload and whether the calling run
+/// was first to commit.
 inline std::pair<uint64_t, bool> commit64_first(uint64_t v) {
-  detail::thread_context* c = detail::my_ctx();
-  return use_ccas() ? detail::commit64_first_ctx<true>(c, v)
-                    : detail::commit64_first_ctx<false>(c, v);
+  return detail::commit64_first_ctx(detail::my_ctx(), v);
 }
 
 inline uint64_t commit64(uint64_t v) { return commit64_first(v).first; }
@@ -193,11 +182,7 @@ template <class T, class... Args>
 T* idem_new(Args&&... args) {
   detail::thread_context* c = detail::my_ctx();
   T* mine = detail::pool_new_ctx<T>(c, std::forward<Args>(args)...);
-  auto r = use_ccas()
-               ? detail::commit64_first_ctx<true>(
-                     c, reinterpret_cast<uint64_t>(mine))
-               : detail::commit64_first_ctx<false>(
-                     c, reinterpret_cast<uint64_t>(mine));
+  auto r = detail::commit64_first_ctx(c, reinterpret_cast<uint64_t>(mine));
   if (r.second) return mine;
   detail::pool_delete_ctx(c, mine);  // never published: immediate free is safe
   return reinterpret_cast<T*>(r.first);
@@ -208,9 +193,8 @@ T* idem_new(Args&&... args) {
 template <class T>
 void idem_retire(T* obj) {
   detail::thread_context* c = detail::my_ctx();
-  bool first = use_ccas() ? detail::commit64_first_ctx<true>(c, 1).second
-                          : detail::commit64_first_ctx<false>(c, 1).second;
-  if (first) detail::epoch_retire_ctx(c, obj);
+  if (detail::commit64_first_ctx(c, 1).second)
+    detail::epoch_retire_ctx(c, obj);
 }
 
 }  // namespace flock

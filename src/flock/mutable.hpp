@@ -17,10 +17,12 @@
 // commits pass through and these degrade to ordinary atomics.
 //
 // Hot-path structure: every public operation fetches the thread context
-// once and resolves the ccas flag once, then runs a fully specialized
-// core (_ctx<Ccas> members). The lock machinery calls the cores directly
-// with its own dispatch (lock.hpp), so its loops contain no TLS lookups
-// or shared-flag loads at all.
+// once and runs the matching core (_ctx members). The lock machinery
+// calls the cores directly with its own context (lock.hpp), so its loops
+// contain no TLS lookups at all. Every CAS here is a
+// compare-and-compare-and-swap (§6 "Avoiding CASes"): it reads the word
+// first and skips a CAS that would fail. The one exception,
+// cas_raw_packed_plain_ctx, serves callers that have just read the word.
 //
 // Usage rule inherited from the paper: stores and CAMs must not race on
 // the same location (enforce with your locking discipline).
@@ -61,29 +63,16 @@ class mutable_ {
     // mo: acquire — a loaded pointer must carry the referent's
     // initialization (published by the seq_cst installing CAS).
     uint64_t p = word_.load(std::memory_order_acquire);
-    if (c->log.block != nullptr) {
-      p = use_ccas() ? detail::commit_packed_ctx<true>(c, p)
-                     : detail::commit_packed_ctx<false>(c, p);
-    }
+    if (c->log.block != nullptr) p = detail::commit_packed_ctx(c, p);
     return from_bits48<T>(val_of(p));
   }
 
   /// Idempotent store (Alg. 2 line 43): logged load then tag-bumping CAS.
-  void store(T v) {
-    detail::thread_context* c = detail::my_ctx();
-    if (use_ccas())
-      store_ctx<true>(c, v);
-    else
-      store_ctx<false>(c, v);
-  }
+  void store(T v) { store_ctx(detail::my_ctx(), v); }
 
   /// Idempotent CAM (Alg. 2 line 46): CAS that returns nothing.
   void cam(T expected, T desired) {
-    detail::thread_context* c = detail::my_ctx();
-    if (use_ccas())
-      cam_ctx<true>(c, expected, desired);
-    else
-      cam_ctx<false>(c, expected, desired);
+    cam_ctx(detail::my_ctx(), expected, desired);
   }
 
   /// Sugar matching the paper's examples: assignment stores.
@@ -92,38 +81,28 @@ class mutable_ {
     return *this;
   }
 
-  // --- Specialized cores: context supplied, ccas resolved at compile
-  // time. Used by the public wrappers above and by lock.hpp. ---------------
-  template <bool Ccas>
+  // --- Cores with the context supplied. Used by the public wrappers
+  // above and by lock.hpp. --------------------------------------------------
   void store_ctx(detail::thread_context* c, T v) {
-    uint64_t oldp = load_packed_ctx<Ccas>(c);
-    cas_packed_ctx<Ccas>(
-        c, oldp, pack_tagged(detail::next_tag(this, oldp), to_bits48(v)));
+    cas_raw_packed_ctx(c, load_packed_ctx(c), v);
   }
 
-  template <bool Ccas>
   void cam_ctx(detail::thread_context* c, T expected, T desired) {
-    uint64_t oldp = load_packed_ctx<Ccas>(c);
-    if (val_of(oldp) != to_bits48(expected)) return;
-    cas_packed_ctx<Ccas>(
-        c, oldp,
-        pack_tagged(detail::next_tag(this, oldp), to_bits48(desired)));
+    uint64_t oldp = load_packed_ctx(c);
+    if (val_of(oldp) == to_bits48(expected))
+      cas_raw_packed_ctx(c, oldp, desired);
   }
 
   /// Logged load returning the full packed word (lock implementation).
-  template <bool Ccas>
   uint64_t load_packed_ctx(detail::thread_context* c) const {
     // mo: acquire — same pairing as load(): the packed value may be a
     // pointer whose referent must be visible to the caller.
     uint64_t p = word_.load(std::memory_order_acquire);
-    if (c->log.block != nullptr) p = detail::commit_packed_ctx<Ccas>(c, p);
+    if (c->log.block != nullptr) p = detail::commit_packed_ctx(c, p);
     return p;
   }
 
-  uint64_t load_packed() const {
-    detail::thread_context* c = detail::my_ctx();
-    return use_ccas() ? load_packed_ctx<true>(c) : load_packed_ctx<false>(c);
-  }
+  uint64_t load_packed() const { return load_packed_ctx(detail::my_ctx()); }
 
   // --- Raw (unlogged) access: used by the lock implementation for the
   // effects-once steps that must not consume enclosing log slots, by
@@ -154,19 +133,39 @@ class mutable_ {
 
   /// Tag-bumping raw CAS; announced so tag-wrap scans can see the expected
   /// word. Returns true if this call installed the new value.
-  template <bool Ccas>
   bool cas_raw_packed_ctx(detail::thread_context* c, uint64_t expected_packed,
                           T desired) {
-    return cas_packed_ctx<Ccas>(
-        c, expected_packed,
-        pack_tagged(detail::next_tag(this, expected_packed),
-                    to_bits48(desired)));
+    // compare-and-compare-and-swap (§6)
+    // mo: acquire — the pre-check substitutes for the CAS's failure
+    // path, so it needs the CAS failure ordering (acquire) too.
+    if (word_.load(std::memory_order_acquire) != expected_packed) return false;
+    return cas_raw_packed_plain_ctx(c, expected_packed, desired);
+  }
+
+  /// cas_raw_packed_ctx without the pre-check, for a caller that has just
+  /// read `expected_packed` itself: a second read before the CAS would be
+  /// pure overhead.
+  bool cas_raw_packed_plain_ctx(detail::thread_context* c,
+                                uint64_t expected_packed, T desired) {
+    uint64_t next = next_packed(expected_packed, desired);
+    // The window between validation (the caller's read or the pre-check
+    // in cas_raw_packed_ctx) and the committing CAS: the tag in
+    // `expected_packed` can go stale right here. Scheduler-only yield
+    // point (no fault plans); erased without FLOCK_CHAOS.
+    FLOCK_SCHEDPOINT("mut.cas.pre");
+    detail::announce_guard g(c, this, expected_packed);
+    // seq_cst (not acq_rel) so lock-word CASes participate in the
+    // hand-off protocol's total order (lock.hpp); identical code on x86,
+    // where a locked RMW is a full barrier either way.
+    // mo: acquire (failure) — a failed install still observes the
+    // winner's word, e.g. a descriptor the caller may go on to help.
+    return word_.compare_exchange_strong(expected_packed, next,
+                                         std::memory_order_seq_cst,
+                                         std::memory_order_acquire);
   }
 
   bool cas_raw_packed(uint64_t expected_packed, T desired) {
-    detail::thread_context* c = detail::my_ctx();
-    return use_ccas() ? cas_raw_packed_ctx<true>(c, expected_packed, desired)
-                      : cas_raw_packed_ctx<false>(c, expected_packed, desired);
+    return cas_raw_packed_ctx(detail::my_ctx(), expected_packed, desired);
   }
 
   /// Plain release store (blocking mode only: no helpers exist).
@@ -176,33 +175,13 @@ class mutable_ {
     uint64_t oldp = word_.load(std::memory_order_acquire);
     // mo: release — publishes the stored value's referent to the acquire
     // loads above (the §5 blocking-mode store).
-    word_.store(pack_tagged(detail::next_tag(this, oldp), to_bits48(v)),
-                std::memory_order_release);
+    word_.store(next_packed(oldp, v), std::memory_order_release);
   }
 
  private:
-  template <bool Ccas>
-  bool cas_packed_ctx(detail::thread_context* c, uint64_t expected,
-                      uint64_t desired) {
-    if constexpr (Ccas) {
-      // compare-and-compare-and-swap (§6)
-      // mo: acquire — the pre-check substitutes for the CAS's failure
-      // path, so it needs the CAS failure ordering (acquire) too.
-      if (word_.load(std::memory_order_acquire) != expected) return false;
-    }
-    // The window between (c)cas validation and the committing CAS: the
-    // tag in `expected` can go stale right here. Scheduler-only yield
-    // point (no fault plans); erased without FLOCK_CHAOS.
-    FLOCK_SCHEDPOINT("mut.cas.pre");
-    detail::announce_guard g(c, this, expected);
-    // seq_cst (not acq_rel) so lock-word CASes participate in the
-    // hand-off protocol's total order (lock.hpp); identical code on x86,
-    // where a locked RMW is a full barrier either way.
-    // mo: acquire (failure) — a failed install still observes the
-    // winner's word, e.g. a descriptor the caller may go on to help.
-    return word_.compare_exchange_strong(expected, desired,
-                                         std::memory_order_seq_cst,
-                                         std::memory_order_acquire);
+  uint64_t next_packed(uint64_t expected_packed, T desired) const {
+    return pack_tagged(detail::next_tag(this, expected_packed),
+                       to_bits48(desired));
   }
 
   std::atomic<uint64_t> word_;

@@ -10,7 +10,7 @@
 //  * a writer that wraps a location's 16-bit tag scans the contexts and
 //    picks the next tag not announced for that location.
 //
-// Residual assumption (documented per DESIGN.md §5): an announcement that
+// Residual assumption (ARCHITECTURE.md §1): an announcement that
 // races with a concurrent wrap scan is only dangerous if the location's
 // tag additionally wraps all the way around (2^16 stores) while the
 // announcing helper sleeps *and* the packed values collide. The paper's

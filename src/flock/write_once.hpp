@@ -31,8 +31,7 @@ class write_once {
   // through a subsequent release operation (pool allocate / CS publish).
   void init(T v) { word_.store(to_bits48(v), std::memory_order_relaxed); }
 
-  /// Idempotent (logged) load. One context fetch; the commit core is
-  /// specialized on the ccas flag resolved here.
+  /// Idempotent (logged) load. One context fetch.
   T load() const {
     detail::thread_context* c = detail::my_ctx();
     // mo: acquire — pairs with store()'s release so a reader that sees
@@ -40,10 +39,7 @@ class write_once {
     // the bucket copies a forwarded flag covers).
     uint64_t b = word_.load(std::memory_order_acquire);
     // b < 2^48 (to_bits48), so it takes the log's present-bit encoding.
-    if (c->log.block != nullptr) {
-      b = use_ccas() ? detail::commit64_ctx<true>(c, b)
-                     : detail::commit64_ctx<false>(c, b);
-    }
+    if (c->log.block != nullptr) b = detail::commit64_ctx(c, b);
     return from_bits48<T>(b);
   }
 

@@ -186,17 +186,6 @@ TEST(Log, ConcurrentReplayAgreement) {
   }
 }
 
-TEST(Log, CcasToggleStillCorrect) {
-  flock::set_ccas(false);
-  {
-    scoped_log lg;
-    EXPECT_EQ(flock::commit64(9), 9u);
-    flock::tls_log() = {lg.head, 0};
-    EXPECT_EQ(flock::commit64(10), 9u);
-  }
-  flock::set_ccas(true);
-}
-
 TEST(Log, IdemNewAndRetireOutsideThunk) {
   struct obj {
     int x;

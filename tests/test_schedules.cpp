@@ -5,8 +5,9 @@
 // *enumerate*: every interleaving of 2 logical threads (preemption bound
 // 2, optionally composed with "thread dies at step k" kill tokens) over
 //
-//   * top-level try_lock install / handoff / help, in both ccas modes,
-//     asserting the exact counter value and lock state on every schedule;
+//   * top-level try_lock install / handoff / help, asserting the exact
+//     counter value and lock state on every schedule, and that some
+//     schedule preempts a CAS between its pre-check and the CAS itself;
 //   * grow publication ordering (split copies -> forwarded write_once
 //     flag -> root swing -> epoch retire), including the resize-trigger
 //     alloc-fail deferral composed with schedules;
@@ -44,12 +45,10 @@ class ScheduleTest : public ::testing::Test {
   void SetUp() override {
     chaos::reset();
     flock::set_blocking(false);
-    flock::set_ccas(true);
   }
   void TearDown() override {
     chaos::reset();
     flock::set_blocking(false);
-    flock::set_ccas(true);
     flock::epoch_manager::instance().flush();
   }
 };
@@ -82,15 +81,28 @@ struct trylock_state {
     bool r[2] = {false, false};
   };
   std::unique_ptr<inner> s;
+  // Schedules in which another thread ran while one sat at mut.cas.pre.
+  uint64_t cas_pre_preempted = 0;
 };
 
-sched::scenario make_trylock_scenario(bool ccas,
-                                      std::shared_ptr<trylock_state> st) {
+// True when some thread was parked at `point` while another thread ran:
+// the run decision that resumes it there does not follow its own.
+bool preempted_at(const sched::run_report& rep, const std::string& point) {
+  int last = -1;
+  for (std::size_t i = 0; i < rep.tokens.size(); i++) {
+    if (rep.tokens[i].k != sched::token::kind::run) continue;
+    if (rep.points[i] == point && last != -1 && rep.tokens[i].thread != last)
+      return true;
+    last = rep.tokens[i].thread;
+  }
+  return false;
+}
+
+sched::scenario make_trylock_scenario(std::shared_ptr<trylock_state> st) {
   sched::scenario sc;
-  sc.name = ccas ? "trylock_handoff_ccas" : "trylock_handoff_noccas";
-  sc.setup = [st, ccas] {
+  sc.name = "trylock_handoff";
+  sc.setup = [st] {
     flock::set_blocking(false);
-    flock::set_ccas(ccas);
     st->s = std::make_unique<trylock_state::inner>();
     st->s->x.init(0);
   };
@@ -112,6 +124,7 @@ sched::scenario make_trylock_scenario(bool ccas,
     EXPECT_FALSE(in->l.is_locked()) << rep.schedule_string();
     EXPECT_EQ(in->x.read_raw(), wins) << rep.schedule_string();
     EXPECT_GE(wins, 1u) << rep.schedule_string();
+    if (preempted_at(rep, "mut.cas.pre")) st->cas_pre_preempted++;
   };
   sc.fingerprint = [st] {
     auto* in = st->s.get();
@@ -129,27 +142,28 @@ sched::run_options trylock_filter() {
   return o;
 }
 
-TEST_F(ScheduleTest, TrylockHandoffExhaustiveBothCcasModes) {
-  for (bool ccas : {false, true}) {
-    auto st = std::make_shared<trylock_state>();
-    sched::scenario sc = make_trylock_scenario(ccas, st);
-    sched::explore_options o;
-    o.preemption_bound = 2;
-    o.run = trylock_filter();
-    o.failure_check = test_failed;
-    sched::explore_stats stats = sched::explore(sc, o);
-    // The acceptance criterion: full enumeration, no truncation, and the
-    // DFS's prefix-determinism check clean (same choices => same enabled
-    // sets, i.e. recorded schedule strings are trustworthy).
-    EXPECT_FALSE(stats.truncated) << sc.name;
-    EXPECT_FALSE(stats.nondeterminism) << sc.name;
-    EXPECT_GE(stats.schedules_at_max_bound, 25u) << sc.name;
-    if (::testing::Test::HasFailure()) {
-      ADD_FAILURE() << "first failing schedule in " << sc.name << ": "
-                    << stats.failure_schedule;
-      return;
-    }
-  }
+// Every CAS in this scenario follows a read of its word (the ccas
+// pre-check, or the top-level install's own read), so a stale CAS is
+// issued only when the word changes between a passing check and the CAS.
+// mut.cas.pre sits in exactly that window; the exploration must preempt
+// there on at least one schedule.
+TEST_F(ScheduleTest, TrylockHandoffExhaustive) {
+  auto st = std::make_shared<trylock_state>();
+  sched::scenario sc = make_trylock_scenario(st);
+  sched::explore_options o;
+  o.preemption_bound = 2;
+  o.run = trylock_filter();
+  o.failure_check = test_failed;
+  sched::explore_stats stats = sched::explore(sc, o);
+  // The acceptance criterion: full enumeration, no truncation, and the
+  // DFS's prefix-determinism check clean (same choices => same enabled
+  // sets, i.e. recorded schedule strings are trustworthy).
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_FALSE(stats.nondeterminism);
+  EXPECT_GE(stats.schedules_at_max_bound, 25u);
+  EXPECT_GT(st->cas_pre_preempted, 0u);
+  if (::testing::Test::HasFailure())
+    ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
 
 // Compose kills with schedules: "thread dies at step k of schedule S" is
@@ -159,7 +173,7 @@ TEST_F(ScheduleTest, TrylockHandoffExhaustiveBothCcasModes) {
 // replay must be harmless — the same exact-state assertions hold.
 TEST_F(ScheduleTest, TrylockHandoffExhaustiveWithKills) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sc.name = "trylock_handoff_kills";
   sched::explore_options o;
   o.preemption_bound = 1;
@@ -171,6 +185,7 @@ TEST_F(ScheduleTest, TrylockHandoffExhaustiveWithKills) {
   EXPECT_FALSE(stats.nondeterminism);
   // Kill tokens multiply the schedule count well past the kill-free tree.
   EXPECT_GE(stats.schedules_at_max_bound, 100u);
+  EXPECT_GT(st->cas_pre_preempted, 0u);
   if (::testing::Test::HasFailure())
     ADD_FAILURE() << "first failing schedule: " << stats.failure_schedule;
 }
@@ -223,7 +238,6 @@ sched::scenario make_grow_scenario(std::shared_ptr<grow_state> st,
   sc.name = name;
   sc.setup = [st, setup_churn_pairs] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     st->ra = st->rb = false;
     st->peek.reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
@@ -329,7 +343,6 @@ TEST_F(ScheduleTest, GrowAllocFailDeferralComposedWithSchedules) {
   sc.name = "grow_alloc_fail";
   sc.setup = [st, &deferrals_before] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     chaos::reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
     deferrals_before = st->ht->resize_deferrals();
@@ -406,7 +419,6 @@ TEST_F(ScheduleTest, EpochRetireVsAnnounceExhaustiveWithKills) {
   sc.name = "epoch_retire_announce";
   sc.setup = [st] {
     flock::set_blocking(false);
-    flock::set_ccas(true);
     st->loaded = nullptr;
     st->observed.reset();
     st->reader_done = false;
@@ -473,7 +485,7 @@ TEST_F(ScheduleTest, EpochRetireVsAnnounceExhaustiveWithKills) {
 
 TEST_F(ScheduleTest, RecordedSchedulesReplayDeterministically) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sched::explore_options o;
   o.preemption_bound = 2;
   o.run = trylock_filter();
@@ -547,7 +559,7 @@ TEST_F(ScheduleTest, KillSchedulesReplayDeterministically) {
 // scenarios in the binary still explore normally.
 TEST_F(ScheduleTest, EnvVarReplayPinsOneSchedule) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sched::explore_options o;
   o.preemption_bound = 1;
   o.run = trylock_filter();
@@ -561,7 +573,8 @@ TEST_F(ScheduleTest, EnvVarReplayPinsOneSchedule) {
   EXPECT_EQ(one.schedules, 1u);
 
   // A differently named scenario ignores the pin and explores fully.
-  sched::scenario other = make_trylock_scenario(/*ccas=*/false, st);
+  sched::scenario other = make_trylock_scenario(st);
+  other.name = "trylock_handoff_unpinned";
   sched::explore_stats many = sched::explore(other, o);
   EXPECT_GT(many.schedules, 1u);
   ::unsetenv("FLOCK_SCHEDULE");
@@ -572,7 +585,7 @@ TEST_F(ScheduleTest, EnvVarReplayPinsOneSchedule) {
 
 TEST_F(ScheduleTest, SeededWalksAreBitIdenticallyReproducible) {
   auto st = std::make_shared<trylock_state>();
-  sched::scenario sc = make_trylock_scenario(/*ccas=*/true, st);
+  sched::scenario sc = make_trylock_scenario(st);
   sched::walk_options o;
   o.run = trylock_filter();
   o.failure_check = test_failed;
@@ -645,7 +658,6 @@ sched::scenario make_validated_read_scenario(bool blocking,
   sc.name = name;
   sc.setup = [st, blocking] {
     flock::set_blocking(blocking);
-    flock::set_ccas(true);
     st->r1.reset();
     st->r2.reset();
     // 8 keys in a 64-bucket table: far below the grow threshold, so the
@@ -780,7 +792,6 @@ sched::scenario make_vread_migration_scenario(
   sc.name = name;
   sc.setup = [st, blocking] {
     flock::set_blocking(blocking);
-    flock::set_ccas(true);
     st->r1.reset();
     st->r2.reset();
     st->ht = std::make_unique<flock_ds::hashtable<long, long>>(64);
@@ -872,7 +883,6 @@ sched::scenario make_cache_scenario(bool blocking,
   sc.name = name;
   sc.setup = [st, blocking] {
     flock::set_blocking(blocking);
-    flock::set_ccas(true);
     st->r1.reset();
     st->r2.reset();
     st->r3.reset();

@@ -32,11 +32,23 @@ void spin_until(F&& pred) {
 }
 
 // Loop budgeted migration passes until one reports nothing pending.
-void drain_window(svc_t& svc, std::size_t budget) {
-  while (true) {
+// `after_pass` runs after every pass, the last one included, and returns
+// whether writers may still be running. The loop ends only on a pass
+// that began after it last returned false, so that pass follows every
+// write; the first pass therefore never ends it.
+template <class F>
+void drain_window(svc_t& svc, std::size_t budget, F&& after_pass) {
+  for (bool quiet = false;;) {
     const auto rep = svc.rebalance_step(budget);
-    if (rep.moved == 0 && rep.exhausted == 0 && !rep.budget_spent) return;
+    const bool done = quiet && rep.moved == 0 && rep.exhausted == 0 &&
+                      !rep.budget_spent;
+    quiet = !after_pass();
+    if (done) return;
   }
+}
+
+void drain_window(svc_t& svc, std::size_t budget) {
+  drain_window(svc, budget, [] { return false; });
 }
 
 // --- deployment knobs (flock/config.hpp svc_tunables) -----------------------
@@ -180,12 +192,11 @@ TEST_P(ServiceTest, DoubleReadFacadeHidesLiveRebalanceWindow) {
   // Drive the migration in small budgeted passes; after EVERY pass the
   // whole key set must be visible through the façade even though it is
   // split across the two stores mid-window.
-  while (true) {
-    const auto rep = svc.rebalance_step(8);
+  drain_window(svc, 8, [&] {
     for (uint64_t k : live)
       EXPECT_EQ(svc.find(k), std::optional<uint64_t>(k * 10));
-    if (rep.moved == 0 && rep.exhausted == 0 && !rep.budget_spent) break;
-  }
+    return false;
+  });
   svc.end_rebalance();
   for (uint64_t k : live) {
     EXPECT_FALSE(src.find(k).has_value());  // primary fully drained
@@ -212,11 +223,10 @@ TEST_P(ServiceTest, ConcurrentReadersNeverMissDuringRebalance) {
       }
     }
   });
-  while (true) {
-    const auto rep = svc.rebalance_step(4);
-    if (rep.moved == 0 && rep.exhausted == 0 && !rep.budget_spent) break;
+  drain_window(svc, 4, [] {
     std::this_thread::yield();  // let the reader overlap the window
-  }
+    return false;
+  });
   // The window stays armed until the reader stops: end_rebalance before
   // the last reads would re-expose the drained primary.
   stop.store(true, std::memory_order_release);
@@ -293,12 +303,11 @@ TEST_P(ServiceTest, WindowWritersRebalancerAndReaderLeaveExactSet) {
   std::atomic<bool> stepped{false};
   std::atomic<int> done{0};
   std::thread rebalancer([&] {
-    while (done.load() < kWriters) {
-      svc.rebalance_step(4);
+    drain_window(svc, 4, [&] {
       stepped.store(true);
       std::this_thread::yield();
-    }
-    drain_window(svc, 16);
+      return done.load() < kWriters;
+    });
   });
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; w++) {
@@ -386,12 +395,11 @@ TEST_P(ServiceTest, WindowClientsOnSharedKeysAccountEveryWrite) {
     }
     ready.fetch_add(1);  // this thread is the rebalancer
     spin_until([&] { return ready.load() == kClients + 1; });
-    while (done.load() < kClients) {
-      svc.rebalance_step(1);
+    drain_window(svc, 1, [&] {
       std::this_thread::yield();
-    }
+      return done.load() < kClients;
+    });
     for (auto& th : ts) th.join();
-    drain_window(svc, 16);
     svc.end_rebalance();
     ASSERT_EQ(src.size(), 0u) << "round " << round;
     ASSERT_EQ(int64_t(dst.size()), int64_t(kKeys) + net.load())
