@@ -12,17 +12,21 @@
 //           where a blocking lock holder can be descheduled mid-critical-
 //           section but lock-free waiters can finish its work.
 //
-// Sweeps threads x {blocking, lock-free} x {try, strict}
-// and emits one json_reporter series per point (default file
-// BENCH_contended.json; FLOCK_BENCH_JSON overrides), plus per-point
-// helping/backoff stat deltas on stderr so the help-throttle's effect is
-// visible next to the throughput it buys.
+// Sweeps threads x {blocking, lock-free} x {try, strict}. Each point is
+// timed as kWindows separate windows, because a single window of a hot
+// contended lock can land in either of two regimes (hot try lock-free at
+// 4 threads has read 11.5 and 1.3 Mop/s on consecutive runs). Emits the
+// median as the point's json_reporter series plus `<series>_min` and
+// `<series>_max` (default file BENCH_contended.json; FLOCK_BENCH_JSON
+// overrides), and per-point helping/backoff stat deltas on stderr so the
+// help-throttle's effect is visible next to the throughput it buys.
 //
 // Env knobs:
-//   FLOCK_CONTEND_MS       timed window per point    (default 200 ms)
+//   FLOCK_CONTEND_MS       timed window              (default 200 ms)
 //   FLOCK_CONTEND_LOCKS    zipf lock-array size      (default 64)
 //   FLOCK_CONTEND_MAXT     top of the thread sweep   (default 8)
 //   FLOCK_OVERSUB_MULT     oversub = mult x cores    (default 8)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -49,6 +53,8 @@ knobs& k() {
   static knobs kn;
   return kn;
 }
+
+constexpr int kWindows = 5;  // timed windows per point (odd: a true median)
 
 // One lock + its counter, padded so neighbouring array entries don't
 // false-share.
@@ -163,17 +169,29 @@ void sweep(bench::json_reporter& rep, const char* scenario, int nlocks,
       flock_workload::zipf_distribution dist(
           static_cast<uint64_t>(nlocks), nlocks > 1 ? 0.99 : 0.0);
       auto before = flock::stats();
-      point_result r = run_point<Strict>(slots, t, [&](auto& rng) {
-        return nlocks > 1 ? dist.sample(rng) - 1 : 0;
-      });
+      std::vector<point_result> win;
+      for (int w = 0; w < kWindows; w++)
+        win.push_back(run_point<Strict>(slots, t, [&](auto& rng) {
+          return nlocks > 1 ? dist.sample(rng) - 1 : 0;
+        }));
       auto after = flock::stats();
+      std::sort(win.begin(), win.end(),
+                [](const point_result& a, const point_result& b) {
+                  return a.mops < b.mops;
+                });
+      const point_result& med = win[kWindows / 2];
       std::string series = std::string(scenario) + "_" +
                            (Strict ? "strict" : "try") +
                            (blocking ? "_blocking" : "_lockfree") +
                            "_t" + std::to_string(t);
-      rep.add(series, r.mops);
-      std::fprintf(stderr, "  %-36s %8.3f Mops acquired (%.3f calls)\n",
-                   series.c_str(), r.mops, r.call_mops);
+      rep.add(series, med.mops);
+      rep.add(series + "_min", win.front().mops);
+      rep.add(series + "_max", win.back().mops);
+      std::fprintf(stderr,
+                   "  %-36s %8.3f Mops acquired, median of %d (%.3f calls;"
+                   " min %.3f max %.3f)\n",
+                   series.c_str(), med.mops, kWindows, med.call_mops,
+                   win.front().mops, win.back().mops);
       stat_delta(before, after, series);
       free_slots(slots);
     }

@@ -365,9 +365,8 @@ void emit_json_series() {
   {
     // Read-mostly scenario (pr9_read_path): zipf(0.99) read-dominated
     // mixes over a warmed store, the optimistic validated read path
-    // (seqlock snapshot + read_guard announce amortization + per-thread
-    // memo cache) A/B'd IN-BINARY against the pre-optimistic logged walk
-    // (find_baseline). Methodology, earned the hard way on a drifting
+    // (seqlock snapshot + read_guard announce amortization) A/B'd
+    // IN-BINARY against the pre-optimistic logged walk (find_baseline). Methodology, earned the hard way on a drifting
     // shared box:
     //
     //  * One store, alternating turns: both read paths serve the SAME
@@ -378,8 +377,8 @@ void emit_json_series() {
     //    design (tried first) doubles the random-access footprint and
     //    measures cold-line physics instead of read-path cost, while a
     //    read-everything-twice design (also tried) hands each side the
-    //    other's line warming and erases the misses the memo cache
-    //    exists to skip. No position is executed twice.
+    //    other's line warming and erases the misses under test. No
+    //    position is executed twice.
     //  * Tight interleaving + medians: the sides alternate every chunk
     //    and each reports its MEDIAN per-chunk rate, so slow machine
     //    drift hits both sides equally and a background burst costs one
@@ -408,8 +407,8 @@ void emit_json_series() {
     flock_workload::prefill_half(store, range, threads);
 
     // Deterministic streams: zipf(0.99) keys over [0, range) — half of
-    // which are absent (prefill_half), exercising the negative-result
-    // memoization — and a per-position op draw.
+    // which are absent (prefill_half), so validated misses are exercised
+    // too — and a per-position op draw.
     const std::size_t kStream = std::size_t{1} << 20;
     std::vector<uint64_t> keys(kStream);
     std::vector<uint16_t> opv(kStream);
@@ -478,29 +477,21 @@ void emit_json_series() {
       return v.empty() ? 0.0 : v[v.size() / 2];
     };
 
-    const auto& cs =
-        flock_store::tls_read_cache<uint64_t, uint64_t>().counters();
     long pos = 0;  // stream cursor: every chunk consumes fresh positions
     // Three mix points: 95/5 and 99/1 read/update, plus a pure-read
-    // phase (100/0) over the store the mixed phases left behind — the
-    // read-batch serving pattern the memo cache is designed for, where
-    // no writer invalidates and the hit rate runs at its capacity
-    // ceiling instead of the churn equilibrium.
+    // phase (100/0) over the store the mixed phases left behind, where
+    // no writer ever forces a snapshot to fall back.
     for (int upd_permille : {50, 10, 0}) {
       const std::string p = upd_permille == 50   ? "readm_95_5_"
                             : upd_permille == 10 ? "readm_99_1_"
                                                  : "readm_100_0_";
-      // Warm store lines and the memo cache at this mix. The cache
-      // converges slowly BY DESIGN (sampled admission lets only one miss
-      // in kFillPeriod contend for a slot), so the timed chunks must see
-      // the steady-state hit rate, not the ramp.
+      // Warm store lines at this mix before the timed chunks.
       for (int w = 0; w < 3; w++) {
         run_chunk(pos, upd_permille, false);
         pos += chunk;
         run_chunk(pos, upd_permille, true);
         pos += chunk;
       }
-      const uint64_t h0 = cs.hits, m0 = cs.misses + cs.invalidated;
       std::vector<double> ra, rb, mm;
       for (int r = 0; r < rounds; r++) {
         auto a = run_chunk(pos, upd_permille, false);
@@ -517,9 +508,6 @@ void emit_json_series() {
       rep.add(p + "optimistic_mops", om);
       rep.add(p + "speedup", bm > 0 ? om / bm : 0.0);
       rep.add(p + "mix_mops", median(mm));
-      const uint64_t dh = cs.hits - h0, dm = cs.misses + cs.invalidated - m0;
-      rep.add(p + "hit_rate",
-              dh + dm > 0 ? static_cast<double>(dh) / (dh + dm) : 0.0);
     }
     rep.add("readm_invariants_ok",
             store.check_invariants() && sink > 0 ? 1.0 : 0.0);

@@ -82,22 +82,6 @@ inline uint64_t splitmix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Process-wide count of bucket-array retirements (any table of any map),
-/// bumped in retire_table BEFORE the array enters the epoch reclaimer.
-/// This is the pointer-safety authority for memoized reads
-/// (store/read_cache.hpp): a live table's bucket array can only ever be
-/// freed through retire_table (the destructor frees arrays too, but a
-/// destroyed map's entries are unreachable — owner ids are never reused),
-/// so a reader that (1) arms its epoch announcement, (2) loads this era,
-/// and then (3) observes the era unchanged at validation time knows the
-/// array behind a memoized version pointer was never even SCHEDULED for
-/// reclamation — it is alive, no matter how many epochs passed or how the
-/// thread's announcement moved in between. A retirement concurrent with
-/// step (3) cannot bite either: it happens at an epoch no older than the
-/// reader's armed announcement, so the free stays blocked while the
-/// reader is pinned.
-inline constinit std::atomic<uint64_t> g_table_retire_era{0};
-
 template <class K, class V, bool Strict>
 class hashtable;
 
@@ -117,13 +101,12 @@ class hashtable {
   // behavior whose possibly-torn result the version validation discards —
   // not UB, and TSan sees no mixed access. That needs lock-free
   // atomic_ref coverage of the payload, plus TRIVIAL default
-  // constructibility, which buys two things: the fast path (and the memo
-  // cache's entry) materializes an empty snapshot slot before the walk
-  // decides whether to keep it, and the constructor's default-init of k/v
-  // is guaranteed to touch no memory, so the atomic stores are the ONLY
-  // payload writes a racing reader can meet. Anything else takes the
-  // logged walk unconditionally, exactly as every K/V did before the fast
-  // path existed.
+  // constructibility, which buys two things: the fast path materializes an
+  // empty snapshot slot before the walk decides whether to keep it, and
+  // the constructor's default-init of k/v is guaranteed to touch no
+  // memory, so the atomic stores are the ONLY payload writes a racing
+  // reader can meet. Anything else takes the logged walk unconditionally,
+  // exactly as every K/V did before the fast path existed.
   template <class T>
   static constexpr bool seqlock_copyable() {
     if constexpr (std::is_trivially_copyable_v<T> && !std::is_const_v<T> &&
@@ -151,7 +134,7 @@ class hashtable {
     flock::write_once<bool> removed;
   };
 
-  struct node : chain_head {
+  struct node_body : chain_head {
     // Not const under kSeqlockReads: construction goes through atomic_ref
     // stores (below), which need mutable fields. Nodes stay logically
     // immutable after construction either way — nothing assigns k or v.
@@ -164,7 +147,7 @@ class hashtable {
     // make that by-design race UB, and TSan flags exactly that pair.
     // Default-init of k/v is a guaranteed no-op (the gate requires
     // trivial default construction), so these are the only payload writes.
-    node(K key, V val, node* nxt) requires(kSeqlockReads) {
+    node_body(K key, V val, node* nxt) requires(kSeqlockReads) {
       // Pre-publication stores: the chain edge that publishes the node
       // releases, and racing snapshot readers are ordered by the seqlock
       // validation, not by these stores.
@@ -174,13 +157,38 @@ class hashtable {
       this->next.init(nxt);
       this->removed.init(false);
     }
-    node(K key, V val, node* nxt) requires(!kSeqlockReads)
+    node_body(K key, V val, node* nxt) requires(!kSeqlockReads)
         : k(key), v(val) {
       this->next.init(nxt);
       this->removed.init(false);
     }
   };
 
+  /// Alignment that keeps a node inside one cache line: the next power of
+  /// two of its size, capped at a line. The pool places objects at
+  /// multiples of their alignment, so a 32 B node (8-byte K and V) sits in
+  /// one half of a line instead of straddling two (the slab header used to
+  /// put every other one across a boundary), at no memory cost.
+  static constexpr std::size_t node_align() {
+    std::size_t a = alignof(node_body);
+    while (a < sizeof(node_body) && a < flock::kCacheLine) a <<= 1;
+    return a;
+  }
+
+  struct alignas(node_align()) node : node_body {
+    using node_body::node_body;
+  };
+  static_assert(sizeof(node) > flock::kCacheLine ||
+                    (sizeof(node) == alignof(node) &&
+                     flock::kCacheLine % alignof(node) == 0),
+                "a chain node of at most a line must not span two lines");
+
+ public:
+  /// Chain-node geometry, for layout audits.
+  static constexpr std::size_t kNodeSize = sizeof(node);
+  static constexpr std::size_t kNodeAlign = alignof(node);
+
+ private:
   struct bucket : chain_head {
     flock::lock lck;  // the bucket lock: every update to the chain and
                       // the bucket's one migration run under it
@@ -196,10 +204,8 @@ class hashtable {
     // every writer that ever entered has exited — quiescence survives any
     // interleaving of brackets. A reader that captures v1 = ver_exit,
     // sees ver_enter == v1, walks unlogged, and re-reads ver_enter == v1
-    // holds a consistent snapshot; a single later reload of ver_enter
-    // validating against the captured v1 proves the chain unchanged since
-    // (read_probe / store/read_cache.hpp). 64-bit monotone: never wraps,
-    // so validation is ABA-free.
+    // holds a consistent snapshot. 64-bit monotone: never wraps, so
+    // validation is ABA-free.
     std::atomic<uint64_t> ver_enter{0};
     std::atomic<uint64_t> ver_exit{0};
   };
@@ -274,20 +280,6 @@ class hashtable {
     s->ver_exit.fetch_add(1, std::memory_order_release);
   }
 
- public:
-  /// Validation handle filled by a successful fast-path find: the bucket's
-  /// writer-ENTRY counter the snapshot was validated against and the
-  /// (balanced, == ver_exit at capture) value it held. While the counter
-  /// still holds `snapshot`, no writer has entered the bucket since the
-  /// validated walk, so the returned value is still current; the caller
-  /// must separately prove the bucket array itself is still allocated
-  /// before dereferencing (see g_table_retire_era above — the memo
-  /// cache's era stamp carries that proof).
-  struct read_probe {
-    const std::atomic<uint64_t>* version = nullptr;
-    uint64_t snapshot = 0;
-  };
-
  private:
   /// Relaxed atomic copy of a possibly-racing node field (see the gate
   /// comment above); the seqlock validation decides whether to keep it.
@@ -339,24 +331,13 @@ class hashtable {
     }
   }
 
-  std::optional<V> find(K k) {
-    read_probe probe;
-    return find(k, probe);
-  }
+  std::optional<V> find(K k) { return find(k, hash_of(k)); }
 
-  /// find with a validation handle: on a fast-path hit/miss, `probe` names
-  /// the bucket version word and snapshot the result was validated against
-  /// (the store tier's memo cache feeds on it). Fallback paths leave the
-  /// probe empty.
-  std::optional<V> find(K k, read_probe& probe) {
-    return find(k, probe, hash_of(k));
-  }
-
-  /// find with the key's hash precomputed. The store tier hashes once and
-  /// derives shard, memo-cache slot, AND bucket index from the same word
-  /// (disjoint bit ranges) — recomputing splitmix64 at every tier was a
-  /// measurable slice of the read path.
-  std::optional<V> find(K k, read_probe& probe, uint64_t h) {
+  /// find with the key's hash precomputed (h == hash_of(k)). The store
+  /// tier hashes once and derives shard and bucket index from the same
+  /// word (disjoint bit ranges); insert and remove take the hash the same
+  /// way.
+  std::optional<V> find(K k, uint64_t h) {
     if constexpr (kSeqlockReads) {
       // The fast path walks raw pointers, so it needs epoch protection —
       // bucket arrays of drained tables are truly freed (array_delete) on
@@ -365,7 +346,7 @@ class hashtable {
       // free.
       flock::read_guard g;
       V out{};
-      switch (find_fast(k, out, probe, h)) {
+      switch (find_fast(k, out, h)) {
         case kFastHit:
           return out;
         case kFastMiss:
@@ -399,7 +380,7 @@ class hashtable {
   /// ver_exit → check ver_enter balanced → raw walk → fence → re-load
   /// ver_enter. No logging, no lock traffic, no epoch announce of its own
   /// (caller holds a read_guard).
-  int find_fast(K k, V& out, read_probe& probe, uint64_t h) {
+  int find_fast(K k, V& out, uint64_t h) {
     const table* t = root_.read_raw();
     bucket* s = &t->buckets[static_cast<std::size_t>(h) & t->mask];
     // mo: acquire — seqlock v1: pairs with ver_end's release bumps (RMW
@@ -455,8 +436,6 @@ class hashtable {
     // mo: relaxed — ordered entirely by the fence above.
     if (s->ver_enter.load(std::memory_order_relaxed) != v1)
       return kFastFallback;
-    probe.version = &s->ver_enter;
-    probe.snapshot = v1;
     return hit ? kFastHit : kFastMiss;
   }
 
@@ -499,10 +478,14 @@ class hashtable {
 
  public:
 
-  bool insert(K k, V v) {
+  bool insert(K k, V v) { return insert(k, v, hash_of(k)); }
+  bool remove(K k) { return remove(k, hash_of(k)); }
+
+  /// Updates with the key's hash precomputed (see find(k, h)).
+  bool insert(K k, V v, uint64_t h) {
     return flock::with_epoch([&] {
       while (true) {
-        bucket* s = locate_update(k);
+        bucket* s = locate_update(h);
         auto [prev, cur] = search_from(s, k);
         // "Already present" needs the same removed-flag test find() uses:
         // a key mid-remove (flag set, unlink not yet visible) is absent.
@@ -528,10 +511,10 @@ class hashtable {
     });
   }
 
-  bool remove(K k) {
+  bool remove(K k, uint64_t h) {
     return flock::with_epoch([&] {
       while (true) {
-        bucket* s = locate_update(k);
+        bucket* s = locate_update(h);
         auto [prev, cur] = search_from(s, k);
         if (cur == nullptr || cur->k != k) return false;
         ver_begin(s);
@@ -707,8 +690,8 @@ class hashtable {
 
  public:
   /// The key hash every tier derives from (bucket index = low bits; the
-  /// store tier's shard routing = top bits, memo-cache slot = middle
-  /// bits). Public so callers can hash once per operation.
+  /// store tier's shard routing = top bits). Public so callers can hash
+  /// once per operation.
   static uint64_t hash_of(K k) {
     return splitmix64(static_cast<uint64_t>(k));
   }
@@ -717,9 +700,6 @@ class hashtable {
   template <class K2, class V2, bool S2>
   friend bool try_move(hashtable<K2, V2, S2>&, hashtable<K2, V2, S2>&,
                        std::type_identity_t<K2>);
-  static std::size_t index_in(const table* t, K k) {
-    return static_cast<std::size_t>(hash_of(k)) & t->mask;
-  }
 
   /// First chain position with key >= k and its predecessor (the bucket
   /// head if none). The single point of truth for the walk that insert,
@@ -762,20 +742,17 @@ class hashtable {
   }
 
   static void retire_table(table* t) {
-    // mo: seq_cst — the era bump must be ordered before the retire it
-    // announces (see g_table_retire_era); cold path, one resize per table.
-    g_table_retire_era.fetch_add(1, std::memory_order_seq_cst);
     flock::epoch_retire_array(t->buckets);
     flock::epoch_retire(t);
   }
 
-  /// The bucket the update for key k must lock: chases forwarded buckets,
-  /// draining a resize in progress along the way so the op lands in the
-  /// newest table. Caller must be inside with_epoch.
-  bucket* locate_update(K k) {
+  /// The bucket the update for the key with hash h must lock: chases
+  /// forwarded buckets, draining a resize in progress along the way so the
+  /// op lands in the newest table. Caller must be inside with_epoch.
+  bucket* locate_update(uint64_t h) {
     table* t = root_.load();
     while (true) {
-      std::size_t i = index_in(t, k);
+      std::size_t i = static_cast<std::size_t>(h) & t->mask;
       bucket* s = &t->buckets[i];
       if (s->removed.read_raw()) {  // forwarded => successor exists
         table* nxt = t->next.read_raw();
@@ -843,10 +820,10 @@ class hashtable {
     const uint64_t bit = t->nbuckets();  // hash bit the split keys on
     // Seqlock bracket on the SOURCE bucket: the unit retires its nodes and
     // sets its forwarded flag, either of which must invalidate snapshots
-    // and memoized reads of s. The successor buckets need no bracket here:
-    // they are unreachable by the optimistic path until the root swings,
-    // which happens-after every unit completed (migrated-counter acq_rel
-    // chain), and direct updates to them bracket normally.
+    // of s. The successor buckets need no bracket here: they are
+    // unreachable by the optimistic path until the root swings, which
+    // happens-after every unit completed (migrated-counter acq_rel chain),
+    // and direct updates to them bracket normally.
     ver_begin(s);
     bool did = acquire(s->lck, [=] {
       if (s->removed.load()) return false;  // lost the race
@@ -1164,11 +1141,12 @@ bool try_move(hashtable<K, V, Strict>& from, hashtable<K, V, Strict>& to,
   using ht = hashtable<K, V, Strict>;
   using node = typename ht::node;
   if (&from == &to) return false;
+  const uint64_t h = ht::hash_of(k);
   return flock::with_epoch([&] {
-    auto* fs = from.locate_update(k);
+    auto* fs = from.locate_update(h);
     auto [fprev, fcur] = ht::search_from(fs, k);
     if (fcur == nullptr || fcur->k != k) return false;  // not in source
-    auto* ts = to.locate_update(k);
+    auto* ts = to.locate_update(h);
     auto [tprev, tcur] = ht::search_from(ts, k);
     // Mid-remove keys (flag set, unlink pending) count as absent, like
     // find(); the critical section's validation forces a retry for them.

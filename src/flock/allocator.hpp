@@ -36,6 +36,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 #include "chaos/faultpoint.hpp"
 #include "config.hpp"
 #include "thread_context.hpp"
@@ -195,8 +199,26 @@ void pool_delete_ctx(thread_context* c, T* p) {
 // The length travels in a header in front of the array, which is what lets
 // an array be retired through the epoch machinery with a plain
 // function-pointer deleter (retire() carries no size argument).
+//
+// Arrays of at least one huge page (a large hashtable's buckets, whose
+// random-access loads otherwise miss the TLB as well as the cache) are
+// allocated huge-page aligned, and the whole huge pages of the block are
+// marked MADV_HUGEPAGE before the constructors touch them. Only pages
+// inside the block are advised, so nothing outside it is faulted in and
+// resident memory does not grow. The advice is best effort: with
+// transparent huge pages off, or if madvise fails, the array is backed by
+// small pages as any other allocation. The length in the header is all
+// array_delete needs to work the alignment out again.
 
 inline std::atomic<long long> g_arrays_outstanding{0};
+
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+inline constexpr bool kHugeArrays = true;
+#else
+inline constexpr bool kHugeArrays = false;
+#endif
+// The transparent-huge-page size on x86-64 (and arm64 with 4 KiB pages).
+inline constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
 template <class T>
 struct array_layout {
@@ -205,6 +227,14 @@ struct array_layout {
                                              : alignof(T);
   static constexpr std::size_t kHeader =
       (sizeof(std::size_t) + kAlign - 1) / kAlign * kAlign;
+
+  static std::size_t bytes(std::size_t n) { return kHeader + n * sizeof(T); }
+  static bool huge(std::size_t n) {
+    return kHugeArrays && n * sizeof(T) >= kHugePage;
+  }
+  static std::align_val_t align(std::size_t n) {
+    return std::align_val_t{huge(n) ? kHugePage : kAlign};
+  }
 
   static std::size_t& count_of(T* base) {
     return *reinterpret_cast<std::size_t*>(reinterpret_cast<char*>(base) -
@@ -224,13 +254,18 @@ T* array_new(std::size_t n) {
   using L = detail::array_layout<T>;
   void* mem = nullptr;
   if (!FLOCK_FAULTPOINT_ALLOC_FAIL("alloc.array")) [[likely]]
-    mem = ::operator new(L::kHeader + n * sizeof(T),
-                         std::align_val_t{L::kAlign}, std::nothrow);
+    mem = ::operator new(L::bytes(n), L::align(n), std::nothrow);
   if (mem == nullptr) [[unlikely]] {
     // mo: relaxed — monotonic stats counter (see pool allocate).
     detail::g_alloc_failures.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  // Best effort (see above): a failure leaves the block on small pages.
+  if (L::huge(n))
+    (void)::madvise(mem, L::bytes(n) & ~(detail::kHugePage - 1),
+                    MADV_HUGEPAGE);
+#endif
   T* base = reinterpret_cast<T*>(static_cast<char*>(mem) + L::kHeader);
   L::count_of(base) = n;
   for (std::size_t i = 0; i < n; i++) ::new (static_cast<void*>(base + i)) T();
@@ -252,7 +287,7 @@ void array_delete(T* p) {
   const std::size_t n = L::count_of(p);
   for (std::size_t i = n; i > 0; i--) p[i - 1].~T();
   ::operator delete(static_cast<void*>(reinterpret_cast<char*>(p) - L::kHeader),
-                    std::align_val_t{L::kAlign});
+                    L::align(n));
   // mo: relaxed — leak-accounting counter, audited at quiescence.
   detail::g_arrays_outstanding.fetch_sub(1, std::memory_order_relaxed);
 }

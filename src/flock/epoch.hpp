@@ -455,11 +455,9 @@ inline epoch_manager& epoch_manager::instance() noexcept {
 /// announcements delay reclamation by at most one collection cycle once
 /// the owner idles; they cannot pin memory for the life of the process.
 ///
-/// Consumers that cache epoch-protected pointers across guards (the
-/// store-tier memoized-read cache) do NOT validate against this slot:
-/// they carry their own proof of liveness (bucket entry counters plus the
-/// bucket-array retirement era — store/read_cache.hpp), which is immune
-/// to the announcement being refreshed or lapsed in between.
+/// Protected pointers must not outlive the guard: a refreshed or lapsed
+/// announcement no longer covers what an earlier batch loaded (the
+/// hashtable's find keeps its snapshot inside one guard).
 class read_guard {
  public:
   read_guard() : c_(detail::my_ctx()) {

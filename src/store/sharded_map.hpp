@@ -37,7 +37,6 @@
 #include "ds/hashtable.hpp"
 #include "ds/move.hpp"
 #include "flock/flock.hpp"
-#include "store/read_cache.hpp"
 
 namespace flock_store {
 
@@ -67,53 +66,30 @@ class sharded_map {
       shards_.push_back(std::make_unique<shard_t>(size_hint / s));
   }
 
-  bool insert(K k, V v) { return shard_for(k).insert(k, v); }
-  bool remove(K k) { return shard_for(k).remove(k); }
+  // One hash per operation: shard routing takes its top bits, the shard
+  // table's bucket index its low bits (disjoint ranges, see the header).
+  bool insert(K k, V v) {
+    const uint64_t h = shard_t::hash_of(k);
+    return route(h).insert(k, v, h);
+  }
+  bool remove(K k) {
+    const uint64_t h = shard_t::hash_of(k);
+    return route(h).remove(k, h);
+  }
 
-  /// Read path: consult the per-thread memoized-read cache first (a hot
-  /// zipf key resolves to one retirement-era compare plus one version
-  /// load), then the shard table's optimistic find; any validated fast-path
-  /// result — present OR absent — refreshes the cache. Writers invalidate
-  /// for free via the bucket version bump, so no coordination with
-  /// insert/remove/try_move or the migration engine is needed here. When
-  /// the payload does not support seqlock snapshots this collapses to the
-  /// plain routed find.
+  /// Read path: the routed shard table's find — a seqlock snapshot under
+  /// a sticky read_guard, falling back to the logged walk. Lock-free and
+  /// thunk-free, so its cost is the memory it touches: the bucket (in a
+  /// huge-page-backed array once it spans 2 MiB) and the chain nodes (each
+  /// inside one cache line).
   std::optional<V> find(K k) {
-    if constexpr (shard_t::kSeqlockReads) {
-      // One hash serves every tier of the read path: shard routing (top
-      // bits), memo-cache slot (middle bits), bucket index (low bits).
-      const uint64_t h = shard_t::hash_of(k);
-      // One guard across cache probe and fallback find: the armed
-      // announcement pins reclamation for the cached version-word
-      // dereference and for the probe the fill captures.
-      flock::read_guard g;
-      // Bucket-array retirement era, loaded AFTER the guard armed (a
-      // retire racing an unpinned window could evade both checks) and
-      // BEFORE the probe/lookup (so "era unchanged" at a later validation
-      // proves no array entered the reclaimer since capture). Both
-      // orderings carry the read_cache.hpp safety proof.
-      // mo: acquire — pairs with retire_table's seq_cst bump.
-      const uint64_t era =
-          flock_ds::g_table_retire_era.load(std::memory_order_acquire);
-      auto& cache = tls_read_cache<K, V>();
-      auto& e = cache.slot_for(store_id_, h);
-      if (const auto* hit = cache.lookup(e, store_id_, k, era))
-        return hit->present ? std::optional<V>(hit->value) : std::nullopt;
-      typename shard_t::read_probe probe;
-      std::optional<V> r =
-          shards_[shard_bits_ == 0 ? 0 : h >> (64 - shard_bits_)]->find(
-              k, probe, h);
-      if (probe.version != nullptr)
-        cache.fill(e, store_id_, k, r, probe.version, probe.snapshot, era);
-      return r;
-    } else {
-      return shard_for(k).find(k);
-    }
+    const uint64_t h = shard_t::hash_of(k);
+    return route(h).find(k, h);
   }
 
   /// Same-binary A/B hook (bench/micro_flock.cpp pr9_read_path): the
   /// routed find with the optimistic read path disabled — no read_guard,
-  /// no memo cache, no seqlock snapshot; just the logged walk.
+  /// no seqlock snapshot; just the logged walk.
   std::optional<V> find_baseline(K k) { return shard_for(k).find_baseline(k); }
 
   /// Exact resident-key count: O(total buckets) epoch-guarded scan summed
@@ -175,13 +151,7 @@ class sharded_map {
   std::size_t shard_count() const { return shards_.size(); }
   shard_t& shard(std::size_t i) { return *shards_[i]; }
   const shard_t& shard(std::size_t i) const { return *shards_[i]; }
-  std::size_t shard_of(K k) const {
-    return shard_bits_ == 0
-               ? 0
-               : static_cast<std::size_t>(flock_ds::splitmix64(
-                     static_cast<uint64_t>(k)) >>
-                                          (64 - shard_bits_));
-  }
+  std::size_t shard_of(K k) const { return shard_index(shard_t::hash_of(k)); }
 
   struct rebalance_report {
     std::size_t moved = 0;       // keys that changed stores
@@ -246,14 +216,33 @@ class sharded_map {
   friend bool try_move(sharded_map<K2, V2, S2>&, sharded_map<K2, V2, S2>&,
                        std::type_identity_t<K2>);
 
-  shard_t& shard_for(K k) { return *shards_[shard_of(k)]; }
+  std::size_t shard_index(uint64_t h) const {
+    return shard_bits_ == 0 ? 0
+                            : static_cast<std::size_t>(h >> (64 - shard_bits_));
+  }
+  shard_t& route(uint64_t h) { return *shards_[shard_index(h)]; }
+  shard_t& shard_for(K k) { return route(shard_t::hash_of(k)); }
 
   std::vector<std::unique_ptr<shard_t>> shards_;
   std::size_t shard_bits_ = 0;
-  // Process-unique identity for memoized-read entries (never recycled, so
-  // a destroyed store's cache entries can never validate; read_cache.hpp).
-  const uint64_t store_id_ = next_store_id();
 };
+
+/// What is left of the per-thread memo cache that used to sit in front
+/// of find: its counters, which now always read 0. The cache is gone (on
+/// 3 threads it cost update-heavy mixes more than it saved read-heavy
+/// ones); this stays only for the frozen perfbench ledger, which still
+/// reads it, and goes with the next change to perfbench/.
+struct retired_read_cache {
+  struct stats {
+    uint64_t hits = 0, misses = 0, invalidated = 0;
+  };
+  stats counters() const { return {}; }
+};
+
+template <class K, class V>
+retired_read_cache tls_read_cache() {
+  return {};
+}
 
 /// Atomically move key `k` between two sharded stores (which may have
 /// different shard counts — this is the resharding primitive). Routing on
@@ -270,7 +259,8 @@ bool try_move(sharded_map<K, V, Strict>& from, sharded_map<K, V, Strict>& to,
   // Window: both endpoints routed, the nested bucket critical sections
   // not yet entered — the store tier's hand-off into the ds-tier nest.
   FLOCK_FAULTPOINT("store.move.pre_nest");
-  return flock_ds::try_move(from.shard_for(k), to.shard_for(k), k);
+  const uint64_t h = sharded_map<K, V, Strict>::shard_t::hash_of(k);
+  return flock_ds::try_move(from.route(h), to.route(h), k);
 }
 
 }  // namespace flock_store

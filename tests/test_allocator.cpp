@@ -56,6 +56,41 @@ TEST(Allocator, ArrayEpochRetireRunsElementDtors) {
   EXPECT_EQ(flock::arrays_outstanding(), base);
 }
 
+// Arrays of at least one huge page are huge-page aligned (so their whole
+// 2 MiB pages can be THP-backed) and must still round-trip through both
+// deleters with the length-derived alignment; an injected failure at that
+// size still returns null.
+TEST(Allocator, HugeArrayIsHugePageAlignedAndBalances) {
+  constexpr std::size_t kHuge = flock::detail::kHugePage;
+  constexpr std::size_t n = kHuge / sizeof(uint64_t) + 3;
+  const long long base = flock::arrays_outstanding();
+  uint64_t* a = flock::array_new<uint64_t>(n);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(flock::array_length(a), n);
+  if (flock::detail::kHugeArrays) {
+    const uintptr_t block = reinterpret_cast<uintptr_t>(a) -
+                            flock::detail::array_layout<uint64_t>::kHeader;
+    EXPECT_EQ(block % kHuge, 0u);
+  }
+  for (std::size_t i = 0; i < n; i++) ASSERT_EQ(a[i], 0u);
+  EXPECT_EQ(flock::arrays_outstanding(), base + 1);
+  flock::array_delete(a);
+  EXPECT_EQ(flock::arrays_outstanding(), base);
+
+  uint64_t* b = flock::array_new<uint64_t>(n);
+  ASSERT_NE(b, nullptr);
+  flock::with_epoch([&] { flock::epoch_retire_array(b); });
+  flock::epoch_manager::instance().flush();
+  EXPECT_EQ(flock::arrays_outstanding(), base);
+
+  const uint64_t f0 = flock::alloc_failures();
+  ASSERT_TRUE(flock_chaos::arm("alloc.array", flock_chaos::fault::alloc_fail));
+  EXPECT_EQ(flock::array_new<uint64_t>(n), nullptr);
+  flock_chaos::reset();
+  EXPECT_EQ(flock::alloc_failures(), f0 + 1);
+  EXPECT_EQ(flock::arrays_outstanding(), base);
+}
+
 TEST(Allocator, DistinctLiveObjects) {
   std::set<payload*> live;
   for (int i = 0; i < 1000; i++)

@@ -44,9 +44,9 @@ TEST_P(HashtableTest, ChainsStaySorted) {
 
 // Regression: a trivially-copyable payload with NO default constructor
 // compiled with the pre-fast-path find() and must keep compiling. The
-// seqlock fast path (and the memo cache's entry) default-constructs
-// snapshot slots, so such a type must be routed off the fast path by the
-// kSeqlockReads gate — not fail to instantiate.
+// seqlock fast path default-constructs its snapshot slot, so such a type
+// must be routed off the fast path by the kSeqlockReads gate — not fail
+// to instantiate.
 struct no_default_v {
   uint64_t a;
   explicit no_default_v(uint64_t x) : a(x) {}
@@ -73,6 +73,15 @@ static_assert(
     "non-trivially-default-constructible payloads must take the slow path");
 static_assert(flock_ds::hashtable<uint64_t, uint64_t>::kSeqlockReads,
               "plain word payloads must keep the fast path");
+
+// Chain-node layout: the default 8-byte key/value node (32 B) is aligned
+// to its size, so the pool never places one across a cache-line boundary
+// and a find's node load touches one line.
+using default_ht = flock_ds::hashtable<uint64_t, uint64_t>;
+static_assert(default_ht::kNodeSize == 32 && default_ht::kNodeAlign == 32);
+static_assert(default_ht::kNodeSize <= default_ht::kNodeAlign &&
+                  flock::kCacheLine % default_ht::kNodeAlign == 0,
+              "the default node must fit inside one cache line");
 
 TEST_P(HashtableTest, NonDefaultConstructiblePayloadUsesSlowPath) {
   flock_ds::hashtable<uint64_t, no_default_v> ht(64);

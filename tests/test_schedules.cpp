@@ -628,7 +628,7 @@ TEST_F(ScheduleTest, SeededWalkSweepOverGrowScenario) {
   }
 }
 
-// --- scenario: optimistic validated reads (seqlock + memo cache) ------------
+// --- scenario: optimistic validated reads (seqlock) ------------------------
 //
 // The PR-9 read path added reader-side windows (ht.read.post_v1 /
 // ht.read.pre_validate: snapshot begun / loads done but unvalidated) and
@@ -861,16 +861,14 @@ TEST_F(ScheduleTest, ValidatedReadVsMigrationForwardExhaustiveBothModes) {
   }
 }
 
-// --- scenario: the store-tier memo cache under writer invalidation -----------
+// --- scenario: store-tier reads under a racing writer ---------------------
 //
-// The sharded_map read path consults the per-thread memoized-read cache
-// before touching the table. The reader's first find fills its cache; the
-// later finds may be served FROM the cache, so the property under test is
-// the invalidation protocol itself: a memoized value may only be returned
-// while the bucket version word still holds the captured snapshot, so a
-// cache hit must never travel backwards past a writer the fallback path
-// already observed. Monotonicity across r1..r3 is asserted on every
-// schedule in both lock modes.
+// (The name is historical: these finds once went through a per-thread memo
+// cache; they now run the seqlock snapshot with the logged walk as its
+// fallback.) The reader issues three finds of a key a writer removes and
+// re-inserts with a new value; the property is monotonicity: a read must
+// never travel backwards past a writer state an earlier read of the same
+// thread already observed. Asserted on every schedule in both lock modes.
 struct cache_state {
   std::unique_ptr<flock_store::sharded_map<long, long, false>> sm;
   std::optional<long> r1, r2, r3;
@@ -896,8 +894,8 @@ sched::scenario make_cache_scenario(bool blocking,
     EXPECT_TRUE(st->sm->insert(5, 501));
   });
   sc.threads.push_back([st] {
-    st->r1 = st->sm->find(5);  // fills this thread's cache on a hit
-    st->r2 = st->sm->find(5);  // may be served from the cache
+    st->r1 = st->sm->find(5);
+    st->r2 = st->sm->find(5);
     st->r3 = st->sm->find(5);
     EXPECT_EQ(st->sm->find(6), std::optional<long>(600));
   });
@@ -908,8 +906,7 @@ sched::scenario make_cache_scenario(bool blocking,
       EXPECT_TRUE(!r->has_value() || **r == 500 || **r == 501)
           << opt_str(*r) << " " << rep.schedule_string();
       // Writer program order is 500 -> miss -> 501; reads of one thread
-      // may only move forward through it. A stale cache hit after the
-      // fallback path saw a later state would break exactly this.
+      // may only move forward through it.
       int stage = !r->has_value() ? 1 : (**r == 501 ? 2 : 0);
       EXPECT_GE(stage, seen) << "non-monotone reads: " << opt_str(st->r1)
                              << "," << opt_str(st->r2) << ","
